@@ -135,7 +135,8 @@ def _error_name(exc: BaseException) -> str:
 
 
 def timed_loop(wl, seconds: float, tr, cal: Calibration) -> Phase:
-    """Closed loop, one client: the next op starts when the last returns."""
+    """Closed loop, one client: the next op starts when the last returns.
+    A whole-pass workload runs on past ``seconds`` to the end of its pass."""
     recs = []
     n = len(wl.cases)
     probe = isinstance(tr, tracing.Tracer) and wl.probe_max_1d
@@ -143,7 +144,7 @@ def timed_loop(wl, seconds: float, tr, cal: Calibration) -> Phase:
     t_start = perf_counter()
     t_end = t_start
     i = 0
-    while i == 0 or t_end - t_start < seconds:
+    while i == 0 or t_end - t_start < seconds or (wl.whole_passes and i % n):
         case = wl.cases[i % n]
         t0 = perf_counter()
         rec = Rec(case=i % n, t0=t0, ms=0.0)

@@ -6,7 +6,11 @@ workload seed draws a local-unitary frame for every input, the Monte Carlo
 seeds and the input order.  p_opt, the LU fidelity and the audit slack are
 invariant under local unitaries, so two seeds give different inputs with the
 same exact answers: the accuracy metrics then measure the code, not the
-corpus, and stay steady from seed to seed.
+corpus, and stay steady from seed to seed.  boundary_mix is the exception:
+which of its inputs fail depends on rounding, and so on the frame, so its
+frames come from a fixed generator too and its seed draws only the input
+order.  Its runs end at a pass boundary, so every run fails the same share
+of its ops.
 
 An operation returns a payload or raises.  ``check`` runs after timing and
 returns the problems found at the margins of tests/test_acceptance.py (never
@@ -200,6 +204,8 @@ class Workload:
 
     name = ""
     probe_max_1d = False
+    # end a timed loop only after a whole pass over the corpus
+    whole_passes = False
     # end-to-end quality metrics this workload measures
     reports_p_opt = False
     reports_fidelity = False
@@ -270,12 +276,14 @@ class BoundaryMix(HaarDistill):
     """CLI `distill` pipeline in process on the inputs where behaviour changes."""
 
     name = "boundary_mix"
+    whole_passes = True
     EPSILONS = tuple(10.0 ** -k for k in range(1, 9))
 
     def __init__(self, seed, root):
         Workload.__init__(self, seed, root)
         base = np.random.default_rng([BASE_SEED, 2])
-        frames = np.random.default_rng(seed)
+        # fixed frames: the failures depend on them, and must not on the seed
+        frames = np.random.default_rng([BASE_SEED, 2, 1])
         cases = []
 
         def add(family, st, **kw):
@@ -305,7 +313,7 @@ class BoundaryMix(HaarDistill):
             add("product", tensor.normalize(prod), expect="FullyProduct")
             p = parties[k % 3]
             add("biseparable", _biseparable(base, p), expect=BISEPARABLE[p])
-        self.cases = _shuffled(cases, frames)
+        self.cases = _shuffled(cases, np.random.default_rng(seed))
 
     def op(self, case, tr):
         ev = tr.call("decomposition.classify", decomposition.classification_evidence, case.state)

@@ -11,7 +11,9 @@ envelope to stdout:
 Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
 stderr.  Exit codes: 0 success, 2 parse/usage error, 3 state-invariant
-failure, 4 distillation impossible (input not GHZ class).
+failure (including any package error raised while solving), 4 distillation
+impossible (input not GHZ class, also when the decomposition finds that
+out).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .decomposition import (
     classification_evidence,
     decompose,
 )
-from .errors import ZeroVectorError
+from .errors import GhzDistillError, NotGHZClassError, ZeroVectorError
 from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
@@ -332,6 +334,12 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except NotGHZClassError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NOT_DISTILLABLE
+    except GhzDistillError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     envelope = {
         "command": args.command,

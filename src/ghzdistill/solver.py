@@ -15,8 +15,9 @@ rank-1 failure operator pins each coefficient pair to the curve
 and producing the GHZ state exactly requires the balance condition
 alpha1 beta1 gamma1 mu1 = alpha2 beta2 gamma2 mu2 together with phases
 summing to -phi.  The branch probability is then p = 2 (alpha1 beta1
-gamma1 mu1)^2 and its maximum over the constraint curves reduces to the 1-D
-objective implemented in the kernels package.
+gamma1 mu1)^2 and its maximum over the constraint curves reduces to a 1-D
+objective in x > 0, written once here (``_objective``) and used by the
+Brent maximizer, the grid oracle and ``objective``.
 
 Two independent solvers are kept deliberately: the 1-D objective maximizer
 (primary route to the optimal probability) and the direct constrained
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import kernels
 from .decomposition import ProductDecomposition, dual_basis, reconstruct
 from .errors import (
     InfeasibleBalanceError,
@@ -105,17 +105,67 @@ class PovmTriple:
         )
 
 
+def _objective(d: ProductDecomposition, x):
+    """The 1-D objective at x > 0, for a float or an array of x.
+
+    For weights mu1 >= mu2 and overlaps (sa, sb, sc) the objective is
+
+        value(x) = (f1*f2/2) * (1 - sqrt(1 - 4(1-sa^2)/f1^2))
+                             * (1 - sqrt(1 - 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2)/f2^2))
+
+        f1(x) = (x^2 + 1)/x
+        f2(x) = (mu2^2 x^2 + 2 mu1 mu2 sb sc x + mu1^2)/x
+
+    Both square-root arguments are analytically nonnegative, but the
+    literal form cancels catastrophically where they vanish (the saturating
+    maxima at x = 1 for sa = 0 and x = mu1/mu2 for sb = sc = 0), turning
+    rounding residue into sqrt(eps) errors.  The code evaluates the
+    equivalent cancellation-free forms
+
+        f1^2 - 4(1-sa^2)  = (x - 1/x)^2 + 4 sa^2
+        f2^2 - k2         = (mu2^2 x - mu1^2/x)^2 + 4 mu1 mu2 sb sc g
+                            + 4 mu1^2 mu2^2 (sb^2 + sc^2),
+        g = mu2^2 x + mu1^2/x,   k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).
+
+    Each radicand is a sum of nonnegative terms in floating point too:
+    ProductDecomposition keeps the overlaps in [0, 1) and mu2 > 0,
+    ``objective`` rejects x <= 0 and the searches stay in [X_LO, X_HI].  So
+    the square roots take their arguments unclamped: a clamp would change
+    no result, and ``np.maximum`` would make each scalar call 2-3 times
+    slower.
+    """
+    mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
+    f1 = (x * x + 1.0) / x
+    g = (mu2 * mu2 * x * x + mu1 * mu1) / x
+    cross = 2.0 * mu1 * mu2 * sb * sc
+    f2 = g + cross
+    h1 = (x * x - 1.0) / x
+    h2 = (mu2 * mu2 * x * x - mu1 * mu1) / x
+    num1 = h1 * h1 + 4.0 * sa * sa
+    num2 = (h2 * h2 + 2.0 * cross * g
+            + 4.0 * mu1 * mu1 * mu2 * mu2 * (sb * sb + sc * sc))
+    t1 = 1.0 - np.sqrt(num1) / f1
+    t2 = 1.0 - np.sqrt(num2) / f2
+    return 0.5 * f1 * f2 * t1 * t2
+
+
 def objective(d: ProductDecomposition, x: float) -> float:
     """Branch-probability objective of the 1-D reduction, at x > 0."""
     if not x > 0.0:
         raise NonPositiveXError(f"objective requires x > 0, got {x!r}")
-    return kernels.objective_value(d.mu1, d.mu2, d.sa, d.sb, d.sc, float(x))
+    return float(_objective(d, float(x)))
 
 
 def grid_search_probability(d: ProductDecomposition, points: int = 100_000,
                             x_lo: float = X_LO, x_hi: float = X_HI) -> tuple[float, float]:
-    """Exhaustive log-grid maximization; the oracle for the refined solvers."""
-    return kernels.grid_max(d.mu1, d.mu2, d.sa, d.sb, d.sc, x_lo, x_hi, points)
+    """Best (value, x) over a logarithmic grid of ``points`` x values on
+    [x_lo, x_hi]; the oracle for the refined solvers and the seed of
+    ``_max_objective``.  Ties resolve to the lowest x.
+    """
+    us = np.linspace(np.log(x_lo), np.log(x_hi), int(points))
+    vals = _objective(d, np.exp(us))
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(np.exp(us[i]))
 
 
 def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
@@ -127,17 +177,15 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
     (for sb = sc = 0); those cusp points defeat bracketing solvers, so they
     are always evaluated as explicit candidates.
     """
-    args = (d.mu1, d.mu2, d.sa, d.sb, d.sc)
-
     def neg(u: float) -> float:
-        return -kernels.objective_value(*args, float(np.exp(u)))
+        return -float(_objective(d, float(np.exp(u))))
 
     u_lo, u_hi = np.log(X_LO), np.log(X_HI)
     candidates: list[tuple[float, float]] = []
     for x in (1.0, min(max(d.mu1 / d.mu2, X_LO), X_HI)):
-        candidates.append((kernels.objective_value(*args, x), x))
+        candidates.append((float(_objective(d, x)), x))
 
-    gv, gx = kernels.grid_max(*args, X_LO, X_HI, _SEED_GRID)
+    gv, gx = grid_search_probability(d, points=_SEED_GRID)
     candidates.append((gv, gx))
     step = (u_hi - u_lo) / (_SEED_GRID - 1)
     brackets = [(max(u_lo, np.log(gx) - step), min(u_hi, np.log(gx) + step))]
@@ -391,9 +439,12 @@ def _psd_sqrt(h: np.ndarray) -> np.ndarray:
     ev, vec = np.linalg.eigh(h)
     if ev[0] < -1e-10:
         raise InvariantViolationError(f"failure operator square has eigenvalue {ev[0]!r}")
-    # the completion constraint makes one eigenvalue exactly zero; clamp the
-    # rounding residue so the square root does not lift it to sqrt(eps)
-    ev = np.where(ev > 1e-12 * max(float(ev[-1]), 0.0), ev, 0.0)
+    # the completion constraint makes one eigenvalue exactly zero (both, at a
+    # zero-overlap site with the trivial pair); clamp the rounding residue so
+    # the square root does not lift it to sqrt(eps).  h = I - S^dag S has its
+    # eigenvalues in [0, 1], so the residue is measured against the identity's
+    # scale, not against ev[-1], which is itself residue when h vanishes
+    ev = np.where(ev > 1e-12, ev, 0.0)
     return (vec * np.sqrt(ev)) @ vec.conj().T
 
 

@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzdistill
 from ghzdistill import PovmTriple, exact_branch_probability, ghz_state, normalize
 from ghzdistill.cli import main
 from helpers import PSI_B_AMPS
@@ -147,6 +150,33 @@ def test_distill_w_exits_4(capsys, w_file):
     assert "WClass" in err
 
 
+def test_distill_not_ghz_found_by_decompose_exits_4(capsys, tmp_path):
+    # --tol 1e-14 lets the CLI's own check pass |000> + 1e-6|111>; the
+    # decomposition then finds the state not GHZ class
+    amps = np.zeros(8)
+    amps[0], amps[7] = 1.0, 1e-6
+    path = write_state(tmp_path / "near_product.json", amps)
+    rc, doc, err = run_cli(capsys, ["distill", "--tol", "1e-14", path])
+    assert rc == 4
+    assert doc is None
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_distill_package_error_exits_3(capsys, tmp_path):
+    # W + 1e-4|111> classifies as GHZ, but the POVM construction fails one
+    # of its invariant checks
+    amps = np.zeros(8)
+    amps[[1, 2, 4]] = 1 / np.sqrt(3)
+    amps[7] = 1e-4
+    path = write_state(tmp_path / "near_w.json", amps)
+    rc, doc, err = run_cli(capsys, ["distill", path])
+    assert rc == 3
+    assert doc is None
+    assert err.startswith("error: InvariantViolationError")
+    assert "Traceback" not in err
+
+
 def test_distill_povms_roundtrip_through_json(capsys, psi_b_file):
     rc, doc, _ = run_cli(capsys, ["distill", psi_b_file])
     triple = triple_from_result(doc["result"])
@@ -256,9 +286,13 @@ def test_pretty_output_parses(capsys, ghz_file):
 
 
 def test_console_entry_point(tmp_path, ghz_file):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(ghzdistill.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "ghzdistill.cli", "classify", ghz_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["class"] == "GHZClass"

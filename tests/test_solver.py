@@ -14,11 +14,13 @@ from ghzdistill import (
     objective,
     optimal_probability,
     optimal_probability_value,
+    reconstruct,
     reduced_density,
     solve_coefficients,
 )
 from ghzdistill.errors import NonPositiveXError, PreconditionViolatedError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
+from ghzdistill.solver import X_HI, X_LO, _objective
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
 
@@ -49,6 +51,36 @@ def test_objective_nonnegative_over_range():
     for _ in range(20):
         d = make_decomposition(rng)
         assert all(objective(d, float(x)) >= 0.0 for x in xs)
+    xs = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
+    for _ in range(50):
+        d = make_decomposition(rng)
+        assert np.all(_objective(d, xs) >= 0.0)
+
+
+def test_objective_scalar_and_array_agree_exactly():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        d = make_decomposition(rng)
+        xs = np.exp(rng.uniform(-10, 10, size=32))
+        batch = _objective(d, xs)
+        assert [objective(d, float(x)) for x in xs] == batch.tolist()
+        v, x = grid_search_probability(d, points=1001)
+        assert v == objective(d, x)
+
+
+def test_grid_ties_resolve_to_lowest_x():
+    # sa = sb = sc = 0 with mu1 > mu2: the objective equals 2 mu2^2 on the
+    # whole plateau [1, mu1/mu2], and rounding leaves several grid points
+    # exactly tied at the top
+    rng = np.random.default_rng(3)
+    d = make_decomposition(rng, mu1_sq=0.7, sa=0.0, sb=0.0, sc=0.0)
+    n = 20001
+    v, x = grid_search_probability(d, points=n)
+    xs = np.exp(np.linspace(np.log(X_LO), np.log(X_HI), n))
+    tied = [float(t) for t in xs if objective(d, float(t)) == v]
+    assert len(tied) > 1
+    assert x == tied[0]
+    assert 1.0 <= x <= d.mu1 / d.mu2
 
 
 # ------------------------------------------------------- optimal probability
@@ -267,6 +299,20 @@ def test_povms_completeness_and_rank1_random():
             assert np.max(np.abs(comp - np.eye(2))) < 1e-10
             sv = np.linalg.svd(fail, compute_uv=False)
             assert sv[1] <= 1e-8 * max(sv[0], 1e-300)
+
+
+def test_povms_zero_overlap_sites():
+    # a zero-overlap site with the trivial pair (1, 1) has completion
+    # I - S^dag S = 0 up to rounding; its failure operator must come out
+    # as 0, not as a rank-2 sqrt(eps) residue
+    rng = np.random.default_rng(0)
+    for pinned in ({"sa": 0.0}, {"sb": 0.0}, {"sa": 0.0, "sb": 0.0},
+                   {"sa": 0.0, "sb": 0.0, "sc": 0.0}):
+        for _ in range(40):
+            d = make_decomposition(rng, **pinned)
+            st = apply_local_unitaries(reconstruct(d), *random_local_unitaries(rng))
+            d = decompose(st)
+            build_povms(d, optimal_probability(d))
 
 
 def test_povms_distill_exactly_end_to_end():

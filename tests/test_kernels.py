@@ -1,63 +1,15 @@
+"""Checks of the objective evaluated over an array of x, the numeric kernel
+that the grid search and the Brent seeds run on."""
+
 import numpy as np
-import pytest
 
-from ghzdistill import kernels
+from ghzdistill.solver import _objective
 from helpers import make_decomposition
-
-
-def _random_params(rng):
-    d = make_decomposition(rng)
-    return d.mu1, d.mu2, d.sa, d.sb, d.sc
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
-def test_scalar_matches_batch():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        params = _random_params(rng)
-        xs = np.exp(rng.uniform(-10, 10, size=32))
-        batch = kernels.objective_batch(*params, xs)
-        for x, v in zip(xs, batch):
-            assert kernels.objective_value(*params, float(x)) == pytest.approx(v, rel=1e-14)
-
-
-@pytest.mark.skipif(kernels.fast is None, reason="compiled kernel not built")
-def test_compiled_matches_reference():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        params = _random_params(rng)
-        xs = np.exp(rng.uniform(-12, 12, size=64))
-        ref = kernels.reference.objective_batch(*params, xs)
-        fast = kernels.fast.objective_batch(*params, xs)
-        np.testing.assert_allclose(fast, ref, rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.skipif(kernels.fast is None, reason="compiled kernel not built")
-def test_compiled_grid_max_matches_reference():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        params = _random_params(rng)
-        v_ref, x_ref = kernels.reference.grid_max(*params, 1e-6, 1e6, 20001)
-        v_fast, x_fast = kernels.fast.grid_max(*params, 1e-6, 1e6, 20001)
-        assert v_fast == pytest.approx(v_ref, rel=1e-12, abs=1e-14)
-        # both returned points achieve the shared maximum (plateaus allowed)
-        assert kernels.reference.objective_value(*params, x_fast) >= v_ref - 1e-12
-
-
-def test_grid_max_ties_resolve_to_lowest_x():
-    # sa = 0 with mu1 > mu2 gives a plateau of maxima over [1, mu1/mu2]
-    rng = np.random.default_rng(3)
-    d = make_decomposition(rng, mu1_sq=0.7, sa=0.0)
-    v, x = kernels.grid_max(d.mu1, d.mu2, d.sa, d.sb, d.sc, 1e-6, 1e6, 100001)
-    assert x <= d.mu1 / d.mu2 + 1e-3
 
 
 def test_objective_nonnegative_everywhere():
     rng = np.random.default_rng(4)
     xs = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
     for _ in range(50):
-        params = _random_params(rng)
-        assert np.all(kernels.objective_batch(*params, xs) >= 0.0)
+        d = make_decomposition(rng)
+        assert np.all(_objective(d, xs) >= 0.0)

@@ -51,10 +51,6 @@ def test_objective_nonnegative_over_range():
     for _ in range(20):
         d = make_decomposition(rng)
         assert all(objective(d, float(x)) >= 0.0 for x in xs)
-    xs = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
-    for _ in range(50):
-        d = make_decomposition(rng)
-        assert np.all(_objective(d, xs) >= 0.0)
 
 
 def test_objective_scalar_and_array_agree_exactly():

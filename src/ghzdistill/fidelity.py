@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvariantViolationError
 from .tensor import State3Q, ghz_state
@@ -103,6 +102,9 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
     plus the identity start.  Deterministic for fixed (state, restarts,
     seed); the returned triple reproduces F when applied to the state.
     """
+    # imported here, not at the top: scipy.optimize is most of the import cost
+    from scipy.optimize import minimize
+
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     psi = state.tensor

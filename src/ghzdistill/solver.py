@@ -16,20 +16,22 @@ and producing the GHZ state exactly requires the balance condition
 alpha1 beta1 gamma1 mu1 = alpha2 beta2 gamma2 mu2 together with phases
 summing to -phi.  The branch probability is then p = 2 (alpha1 beta1
 gamma1 mu1)^2 and its maximum over the constraint curves reduces to a 1-D
-objective in x > 0, written once here (``_objective``) and used by the
-Brent maximizer, the grid oracle and ``objective``.
+objective in x = alpha2/alpha1 > 0, written once here (``_objective``).
 
-Two independent solvers are kept deliberately: the 1-D objective maximizer
-(primary route to the optimal probability) and the direct constrained
-coefficient solver (route to the explicit POVMs).  They cross-validate each
-other in the test-suite.
+The production path is one bisection of that objective's slope on
+[1, mu1/mu2] (``_max_objective``), after which the six
+magnitudes follow from the optimum x* in closed form: Alice's pair from
+the ratio 1/x*, Bob's and Claire's from the two-site ratio formula with
+Alice's filtering folded into the weights.  The grid search
+(``grid_search_probability``) and the direct constrained coefficient
+solver (``solve_coefficients``) are independent slow routes, kept as test
+oracles of the fast path.  Nothing here needs SciPy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .decomposition import ProductDecomposition, dual_basis, reconstruct
 from .errors import (
@@ -42,8 +44,8 @@ from .tensor import apply_local, fidelity_with, ghz_state, normalize
 
 X_LO = 1e-6
 X_HI = 1e6
-_SEED_GRID = 4096
-_MULTISTARTS = 8
+_U_TOL = 1e-12           # bisection tolerance in u = log x
+_INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
 _ZERO_OVERLAP = 1e-12
 _PLATEAU_RTOL = 1e-12   # objective values this close count as tied maxima
 
@@ -134,6 +136,14 @@ def _objective(d: ProductDecomposition, x):
     no result, and ``np.maximum`` would make each scalar call 2-3 times
     slower.
     """
+    f1, f2, _, _, r1, r2 = _terms(d, x)
+    return 0.5 * f1 * f2 * (1.0 - r1 / f1) * (1.0 - r2 / f2)
+
+
+def _terms(d: ProductDecomposition, x):
+    """(f1, f2, h1, h2, r1, r2) at x: h1 = x - 1/x, h2 = mu2^2 x - mu1^2/x
+    and r1, r2 the square roots of the cancellation-free radicands of
+    ``_objective``."""
     mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
     f1 = (x * x + 1.0) / x
     g = (mu2 * mu2 * x * x + mu1 * mu1) / x
@@ -144,9 +154,14 @@ def _objective(d: ProductDecomposition, x):
     num1 = h1 * h1 + 4.0 * sa * sa
     num2 = (h2 * h2 + 2.0 * cross * g
             + 4.0 * mu1 * mu1 * mu2 * mu2 * (sb * sb + sc * sc))
-    t1 = 1.0 - np.sqrt(num1) / f1
-    t2 = 1.0 - np.sqrt(num2) / f2
-    return 0.5 * f1 * f2 * t1 * t2
+    return f1, f2, h1, h2, np.sqrt(num1), np.sqrt(num2)
+
+
+def _rising(d: ProductDecomposition, x: float) -> bool:
+    """Whether the objective strictly increases with log x at x (the sign
+    of its log-slope -(h1/r1 + h2/r2), see ``_max_objective``)."""
+    _, _, h1, h2, r1, r2 = _terms(d, x)
+    return bool(h1 * r2 + h2 * r1 < 0.0)
 
 
 def objective(d: ProductDecomposition, x: float) -> float:
@@ -159,8 +174,8 @@ def objective(d: ProductDecomposition, x: float) -> float:
 def grid_search_probability(d: ProductDecomposition, points: int = 100_000,
                             x_lo: float = X_LO, x_hi: float = X_HI) -> tuple[float, float]:
     """Best (value, x) over a logarithmic grid of ``points`` x values on
-    [x_lo, x_hi]; the oracle for the refined solvers and the seed of
-    ``_max_objective``.  Ties resolve to the lowest x.
+    [x_lo, x_hi]; the test oracle of the bracketed search.  Ties resolve to
+    the lowest x.
     """
     us = np.linspace(np.log(x_lo), np.log(x_hi), int(points))
     vals = _objective(d, np.exp(us))
@@ -169,34 +184,51 @@ def grid_search_probability(d: ProductDecomposition, points: int = 100_000,
 
 
 def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
-    """Global maximum of the objective: multistart Brent over log-x plus a
-    grid fallback, deterministic best-value-then-lowest-x reduction.
+    """Global maximum (value, x*) of the objective: one bisection in
+    u = log x on [0, log(mu1/mu2)] plus both ends of that bracket as
+    explicit candidates, reduced best value first, then lowest x.
 
-    The objective is smooth except when a square-root argument vanishes at
-    the maximum, which happens only at x = 1 (for sa = 0) and x = mu1/mu2
-    (for sb = sc = 0); those cusp points defeat bracketing solvers, so they
-    are always evaluated as explicit candidates.
+    With u = log x, L = log(mu1/mu2) >= 0 (a mu1 a rounding error below
+    mu2 counts as L = 0) and v = u - L,
+
+        f1 = 2 cosh u,
+        f2 = 2 mu1 mu2 cosh v + 2 mu1 mu2 sb sc,
+        value = F1(f1) F2(f2) / 2,   F(f) = f - sqrt(f^2 - k),
+
+    with k1 = 4(1 - sa^2), k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).  Each F is
+    positive and decreasing in f, F'(f) = -F/sqrt(f^2 - k), so
+
+        d log(value)/du = -(h1/r1 + h2/r2)
+            = -sinh u / sqrt(sinh^2 u + sa^2)
+              - sinh v / sqrt(sinh^2 v + 2 sb sc cosh v + sb^2 + sc^2).
+
+    Each quotient is nondecreasing in u; their derivatives are
+    sa^2 cosh u / (...)^(3/2) and (sb sc (cosh^2 v + 1)
+    + (sb^2 + sc^2) cosh v) / (...)^(3/2).  So log(value) is concave in u
+    and the maximum is found by bisection on the sign of the slope
+    (``_rising``).  For u < 0 both quotients are negative, so the value
+    rises; for u > L both are positive, so it falls: the maximum lies in
+    [0, L], that is x* in [1, mu1/mu2].  The concavity is strict, and the
+    maximizer unique, unless sa = sb = sc = 0; then the slope is 0 on all
+    of (0, L), the value is 2 mu2^2 there, and the lowest x, x* = 1, wins.
+
+    Bisecting on the slope's sign rather than comparing values pins x* to
+    the tolerance even where the value is flat to rounding (mu2 << mu1),
+    which the closed-form coefficients need.  The objective has a cusp
+    only where a radicand vanishes at the maximum: x = 1 for sa = 0 and
+    x = mu1/mu2 for sb = sc = 0, the ends of the bracket.  A bisection
+    reaches such a point only to within its tolerance, so both ends are
+    evaluated exactly.
     """
-    def neg(u: float) -> float:
-        return -float(_objective(d, float(np.exp(u))))
-
-    u_lo, u_hi = np.log(X_LO), np.log(X_HI)
-    candidates: list[tuple[float, float]] = []
-    for x in (1.0, min(max(d.mu1 / d.mu2, X_LO), X_HI)):
-        candidates.append((float(_objective(d, x)), x))
-
-    gv, gx = grid_search_probability(d, points=_SEED_GRID)
-    candidates.append((gv, gx))
-    step = (u_hi - u_lo) / (_SEED_GRID - 1)
-    brackets = [(max(u_lo, np.log(gx) - step), min(u_hi, np.log(gx) + step))]
-    edges = np.linspace(u_lo, u_hi, _MULTISTARTS + 1)
-    brackets += [(edges[i], edges[i + 1]) for i in range(_MULTISTARTS)]
-
-    for lo, hi in brackets:
-        res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        candidates.append((-res.fun, float(np.exp(res.x))))
-
+    r = min(max(d.mu1 / d.mu2, X_LO), X_HI)
+    lo, hi = 0.0, max(float(np.log(r)), 0.0)
+    while hi - lo > _U_TOL:
+        mid = 0.5 * (lo + hi)
+        if _rising(d, float(np.exp(mid))):
+            lo = mid
+        else:
+            hi = mid
+    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, float(np.exp(lo)))]
     best = max(v for v, _ in candidates)
     tied = [x for v, x in candidates if v >= best - _PLATEAU_RTOL * max(1.0, best)]
     # rounding in the decomposition data can push the evaluated maximum a few
@@ -212,18 +244,25 @@ def optimal_probability_value(d: ProductDecomposition) -> float:
 def optimal_probability(d: ProductDecomposition) -> OsbpSolution:
     """Optimal OSBP probability plus the realizing POVM coefficients.
 
-    The probability comes from the 1-D objective; the six magnitudes come
-    from the direct constrained solver.  Their agreement (within 1e-8) is
-    enforced here, so a silent divergence of the two routes cannot go
-    unnoticed.
+    The probability and x* = alpha2/alpha1 come from the 1-D objective; the
+    six magnitudes follow from x* in closed form.  Alice's pair balances
+    the ratio alpha1/alpha2 = 1/x* on her curve.  Bob and Claire then face
+    the sa = 0 problem with weights (mu1 alpha1, mu2 alpha2), whose optimal
+    ratios ``_two_site_ratios`` gives; each ratio becomes a pair on its
+    site's curve.  The product of the coefficients is checked against p_opt
+    (within 1e-8), together with the balance, completion and phase
+    constraints.
     """
     p_opt, x_star = _max_objective(d)
-    coeffs = solve_coefficients(d)
+    a1, a2 = _balanced_pair(1.0 / x_star, d.sa)
+    ratio_beta, ratio_gamma = _two_site_ratios(d.mu1 * a1, d.mu2 * a2, d.sb, d.sc)
+    b1, b2 = _balanced_pair(np.sqrt(ratio_beta), d.sb)
+    g1, g2 = _balanced_pair(np.sqrt(ratio_gamma), d.sc)
     sol = OsbpSolution(
         p_opt=p_opt, x_star=x_star,
-        alpha1=coeffs[0], alpha2=coeffs[1],
-        beta1=coeffs[2], beta2=coeffs[3],
-        gamma1=coeffs[4], gamma2=coeffs[5],
+        alpha1=float(a1), alpha2=float(a2),
+        beta1=float(b1), beta2=float(b2),
+        gamma1=float(g1), gamma2=float(g2),
         phase_a=-d.phi, phase_b=0.0, phase_c=0.0,
     )
     _check_solution(d, sol)
@@ -287,15 +326,21 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     pref = 1.0 + 2.0 * mu1 * mu2 * sb * sc
     k2 = 4.0 * mu1 ** 2 * mu2 ** 2 * (1.0 - sb ** 2) * (1.0 - sc ** 2)
     p = pref * (1.0 - np.sqrt(max(0.0, 1.0 - k2 / pref ** 2)))
-    if sb + sc <= _ZERO_OVERLAP:
-        ratio = mu2 / mu1
-        return TwoSiteClosedForm(p=float(p), ratio_beta=ratio, ratio_gamma=ratio,
-                                 ratios_by_continuity=True)
-    ratio_beta = (mu2 / mu1) * (mu2 * sb + mu1 * sc) / (mu1 * sb + mu2 * sc)
-    ratio_gamma = (mu2 / mu1) ** 2 / ratio_beta
+    ratio_beta, ratio_gamma = _two_site_ratios(mu1, mu2, sb, sc)
     return TwoSiteClosedForm(p=float(p), ratio_beta=float(ratio_beta),
                              ratio_gamma=float(ratio_gamma),
-                             ratios_by_continuity=False)
+                             ratios_by_continuity=bool(sb + sc <= _ZERO_OVERLAP))
+
+
+def _two_site_ratios(m1: float, m2: float, sb: float, sc: float) -> tuple[float, float]:
+    """Optimal (beta1^2/beta2^2, gamma1^2/gamma2^2) for the sa = 0 problem
+    with weights (m1, m2), which need not be normalized; the diagonal
+    limit m2/m1 for both when sb = sc = 0 (see ``closed_form_two_sites``).
+    """
+    if sb + sc <= _ZERO_OVERLAP:
+        return m2 / m1, m2 / m1
+    ratio_beta = (m2 / m1) * (m2 * sb + m1 * sc) / (m1 * sb + m2 * sc)
+    return ratio_beta, (m2 / m1) ** 2 / ratio_beta
 
 
 def _completion(s: float, k1):
@@ -316,27 +361,49 @@ def _smaller_balance_root(rho, s: float):
     return 2.0 * (1.0 - s * s) / ((1.0 + r2) + np.sqrt(disc))
 
 
-def _alpha_pair(rho, sa: float):
-    """Coefficients (alpha1, alpha2) balancing ratio rho on Alice's curve."""
-    if sa <= _ZERO_OVERLAP:
-        a1 = np.where(rho <= 1.0, rho, 1.0)
-        a2 = np.where(rho <= 1.0, 1.0, 1.0 / rho)
-        return a1, a2
-    y = _smaller_balance_root(rho, sa)
-    a2 = np.sqrt(y)
-    return rho * a2, a2
+def _balanced_pair(rho, s: float):
+    """Coefficients (k1, k2) with ratio k1/k2 = rho on the curve
+    (1-k1^2)(1-k2^2) = s^2 of a site with overlap s.  At a zero-overlap
+    site the curve is "one coefficient equals 1"."""
+    if s <= _ZERO_OVERLAP:
+        k1 = np.where(rho <= 1.0, rho, 1.0)
+        k2 = np.where(rho <= 1.0, 1.0, 1.0 / rho)
+        return k1, k2
+    k2 = np.sqrt(_smaller_balance_root(rho, s))
+    return rho * k2, k2
+
+
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(f(t), t) at the golden-section maximizer of f on [lo, hi], to tol in t.
+
+    Finds the global maximum when f is unimodal on [lo, hi]; an exact tie
+    between the two probes keeps the lower part of the interval.
+    """
+    a, b = lo, hi
+    c, e = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fe = f(c), f(e)
+    while b - a > tol:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INVPHI * (b - a)
+            fe = f(e)
+    return (fc, c) if fc >= fe else (fe, e)
 
 
 def _maximize_1d(f, lo: float, hi: float, grid_n: int = 128) -> float:
-    """Argmax of f on (lo, hi): vectorized grid seed plus a Brent polish."""
+    """Argmax of f on (lo, hi): vectorized grid seed plus a golden-section
+    polish between the seed's neighbours."""
     xs = np.linspace(lo, hi, grid_n + 2)[1:-1]
     vals = f(xs)
     i = int(np.argmax(vals))
     blo = xs[i - 1] if i > 0 else lo
     bhi = xs[i + 1] if i < len(xs) - 1 else hi
-    res = minimize_scalar(lambda t: -float(f(t)), bounds=(blo, bhi),
-                          method="bounded", options={"xatol": 1e-11})
-    return float(res.x) if -res.fun >= vals[i] else float(xs[i])
+    v, t = _golden_max(lambda t: float(f(t)), float(blo), float(bhi), 1e-11)
+    return t if v >= vals[i] else float(xs[i])
 
 
 def solve_coefficients(d: ProductDecomposition) -> tuple[float, float, float, float, float, float]:
@@ -353,6 +420,10 @@ def solve_coefficients(d: ProductDecomposition) -> tuple[float, float, float, fl
     solvers.  With sa = 0 the balance is carried entirely by Bob and
     Claire (alpha1 = alpha2 = 1 at the optimum) and the feasible curve is
     walked in closed form.
+
+    Slow and independent of the 1-D objective, this is the test oracle of
+    the closed-form coefficients in ``optimal_probability``.  On the
+    sa = sb = sc = 0 plateau the two pick different optimal points.
     """
     mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
     free_b = sb > _ZERO_OVERLAP
@@ -361,7 +432,7 @@ def solve_coefficients(d: ProductDecomposition) -> tuple[float, float, float, fl
 
     def finish(b1, b2, g1, g2):
         rho = (mu2 * b2 * g2) / (mu1 * b1 * g1)
-        a1, a2 = _alpha_pair(rho, sa)
+        a1, a2 = _balanced_pair(rho, sa)
         if not (0.0 < a1 <= 1.0 + 1e-12 and 0.0 < a2 <= 1.0 + 1e-12):
             raise InfeasibleBalanceError(
                 f"no Alice coefficients balance ratio {rho!r}"
@@ -398,7 +469,7 @@ def solve_coefficients(d: ProductDecomposition) -> tuple[float, float, float, fl
 
     def probability(b1, g1, b2, g2):
         rho = (mu2 * b2 * g2) / (mu1 * b1 * g1)
-        a1, _ = _alpha_pair(rho, sa)
+        a1, _ = _balanced_pair(rho, sa)
         return 2.0 * np.square(a1 * b1 * g1 * mu1)
 
     if not free_b and not free_c:

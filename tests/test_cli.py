@@ -296,3 +296,24 @@ def test_console_entry_point(tmp_path, ghz_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["class"] == "GHZClass"
+
+
+def test_pipeline_does_not_import_scipy_optimize():
+    # only optimal_lu_fidelity needs scipy.optimize; classify, distill,
+    # simulate and audit must not pay its import
+    src = str(Path(ghzdistill.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys\n"
+        "import ghzdistill as g\n"
+        "st = g.normalize([1, 0, 0, 0, 0, 0, 0.6, 0.8])\n"
+        "d = g.decompose(st)\n"
+        "povms = g.build_povms(d, g.optimal_probability(d))\n"
+        "g.run_protocol(st, povms, trials=100, seed=0)\n"
+        "g.audit_povm(st, g.random_povm_pair(0), 'A')\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

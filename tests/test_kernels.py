@@ -1,5 +1,5 @@
 """Checks of the objective evaluated over an array of x, the numeric kernel
-that the grid search and the Brent seeds run on."""
+that the grid search oracle runs on."""
 
 import numpy as np
 

@@ -20,7 +20,7 @@ from ghzdistill import (
 )
 from ghzdistill.errors import NonPositiveXError, PreconditionViolatedError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
-from ghzdistill.solver import X_HI, X_LO, _objective
+from ghzdistill.solver import X_HI, X_LO, _objective, _rising
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
 
@@ -263,6 +263,75 @@ def test_two_routes_and_grid_oracle_agree():
         pg, _ = grid_search_probability(d, points=100_000)
         assert abs(p1 - p2) < 1e-6
         assert abs(p1 - pg) < 1e-6
+
+
+# ------------------------------------------------- fast path against oracles
+
+ORACLE_POINTS = 100_000
+
+
+def _families(rng, n):
+    """Named decomposition families: Haar states, pinned zero overlaps, ties
+    and small weight ratios mu2/mu1."""
+    pinned = {
+        "sa=0": {"sa": 0.0}, "sb=0": {"sb": 0.0}, "sc=0": {"sc": 0.0},
+        "sa=sb=0": {"sa": 0.0, "sb": 0.0}, "sb=sc=0": {"sb": 0.0, "sc": 0.0},
+        "sa=sb=sc=0": {"sa": 0.0, "sb": 0.0, "sc": 0.0},
+        "tie": {"mu1_sq": 0.5},
+        **{f"mu2/mu1={q:g}": {"mu1_sq": 1.0 / (1.0 + q * q)} for q in (1e-1, 1e-2, 1e-3)},
+    }
+    fams = {"haar": [decompose(random_ghz_state(rng)) for _ in range(n)]}
+    for name, kwargs in pinned.items():
+        fams[name] = [make_decomposition(rng, **kwargs) for _ in range(n)]
+    return fams
+
+
+def _residuals(d, coeffs):
+    a1, a2, b1, b2, g1, g2 = coeffs
+    return np.array([
+        2.0 * (a1 * b1 * g1 * d.mu1) ** 2,
+        abs(a1 * b1 * g1 * d.mu1 - a2 * b2 * g2 * d.mu2),
+        abs((1 - a1**2) * (1 - a2**2) - d.sa**2),
+        abs((1 - b1**2) * (1 - b2**2) - d.sb**2),
+        abs((1 - g1**2) * (1 - g2**2) - d.sc**2),
+    ])
+
+
+def test_x_star_is_ratio_of_alice_coefficients():
+    fams = _families(np.random.default_rng(30), 10)
+    for name in ("haar", "sa=0", "sb=0", "sb=sc=0", "sa=sb=sc=0", "tie"):
+        for d in fams[name]:
+            sol = optimal_probability(d)
+            assert sol.x_star == pytest.approx(sol.alpha2 / sol.alpha1, rel=1e-9), name
+
+
+def test_log_objective_is_concave_in_log_x():
+    # the slope of log(value) in u = log x changes sign at most once, from
+    # rising to falling, and only inside [0, log(mu1/mu2)]
+    us = np.linspace(np.log(X_LO), np.log(X_HI), 2001)
+    for name, ds in _families(np.random.default_rng(31), 5).items():
+        for d in ds:
+            rising = np.array([_rising(d, float(np.exp(u))) for u in us])
+            switches = np.flatnonzero(rising[:-1] != rising[1:])
+            assert len(switches) <= 1, name
+            assert rising[us < 0.0].all(), name
+            assert not rising[us > np.log(d.mu1 / d.mu2)].any(), name
+
+
+def test_fast_path_against_grid_and_coefficient_oracles():
+    step = (np.log(X_HI) - np.log(X_LO)) / (ORACLE_POINTS - 1)
+    for name, ds in _families(np.random.default_rng(32), 6).items():
+        for d in ds:
+            gv, gx = grid_search_probability(d, points=ORACLE_POINTS)
+            assert -step <= np.log(gx) <= max(np.log(d.mu1 / d.mu2), 0.0) + step, name
+            assert optimal_probability_value(d) >= gv - 1e-12, name
+
+            sol = optimal_probability(d)
+            oracle = solve_coefficients(d)
+            assert np.all(np.abs(_residuals(d, sol.coefficients)
+                                 - _residuals(d, oracle)) <= 1e-10), name
+            if name != "sa=sb=sc=0":   # the only family with a plateau of optima
+                assert sol.coefficients == pytest.approx(oracle, abs=1e-6), name
 
 
 # ------------------------------------------------------------------- POVMs

@@ -12,8 +12,7 @@ Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
 stderr.  Exit codes: 0 success, 2 parse/usage error, 3 state-invariant
 failure (including any package error raised while solving), 4 distillation
-impossible (input not GHZ class, also when the decomposition finds that
-out).
+impossible (the decomposition finds the input not GHZ class at ``--tol``).
 """
 from __future__ import annotations
 
@@ -24,11 +23,7 @@ import time
 
 import numpy as np
 
-from .decomposition import (
-    EntanglementClass,
-    classification_evidence,
-    decompose,
-)
+from .decomposition import classification_evidence, decompose
 from .errors import GhzDistillError, NotGHZClassError, ZeroVectorError
 from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
@@ -153,14 +148,6 @@ def load_state(path: str) -> tuple[State3Q, str | None]:
     return state, label
 
 
-def _require_ghz(state: State3Q, tol: float) -> None:
-    evidence = classification_evidence(state, tol)
-    cls = evidence["class"]
-    if cls is not EntanglementClass.GHZ_CLASS:
-        raise CliError(EXIT_NOT_DISTILLABLE,
-                       f"GHZ not distillable from {cls.value} input")
-
-
 # ----------------------------------------------------------------------
 # subcommand bodies: each returns the "result" payload
 
@@ -175,8 +162,7 @@ def _cmd_classify(args, state: State3Q) -> dict:
 
 
 def _cmd_distill(args, state: State3Q) -> dict:
-    _require_ghz(state, args.tol)
-    d = decompose(state)
+    d = decompose(state, args.tol)
     sol = optimal_probability(d)
     povms = build_povms(d, sol)
     return {
@@ -206,8 +192,7 @@ def _cmd_distill(args, state: State3Q) -> dict:
 def _cmd_simulate(args, state: State3Q) -> dict:
     if args.trials < 1:
         raise CliError(EXIT_PARSE, "--trials must be >= 1")
-    _require_ghz(state, args.tol)
-    d = decompose(state)
+    d = decompose(state, args.tol)
     povms = build_povms(d, optimal_probability(d))
     report = run_protocol(state, povms, args.trials, args.seed)
     return {
@@ -220,8 +205,7 @@ def _cmd_simulate(args, state: State3Q) -> dict:
 
 
 def _cmd_audit(args, state: State3Q) -> dict:
-    _require_ghz(state, args.tol)
-    d = decompose(state)
+    d = decompose(state, args.tol)
     p_before = optimal_probability_value(d)
 
     if args.diagonal_scan is not None:
@@ -329,6 +313,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if not 0.0 < args.tol < float("inf"):
+            raise CliError(EXIT_PARSE, f"--tol must be finite and positive, got {args.tol!r}")
         state, label = load_state(args.state_file)
         result = _HANDLERS[args.command](args, state)
     except CliError as e:

@@ -266,13 +266,14 @@ def _magnitude_key(*vectors) -> tuple:
     return tuple(float(abs(x)) for v in vectors for x in v)
 
 
-def decompose(state: State3Q) -> ProductDecomposition:
+def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     """Two-term product decomposition of a GHZ-class state.
 
-    Raises NotGHZClassError for other classes and IllConditionedError when
-    the two product vectors are nearly parallel (W-class boundary).
+    Raises NotGHZClassError for other classes (classified at rank tolerance
+    ``tol``) and IllConditionedError when the two product vectors are nearly
+    parallel (W-class boundary).
     """
-    cls = classify(state)
+    cls = classify(state, tol)
     if cls is not EntanglementClass.GHZ_CLASS:
         raise NotGHZClassError(f"state is {cls.value}; no two-term product form exists")
 

@@ -7,8 +7,15 @@ parameterization, global phases being irrelevant to the fidelity
 
     F(theta) = |<GHZ| U_A (x) U_B (x) U_C |psi>|^2.
 
-The maximization runs L-BFGS-B with the analytic gradient from a number of
-random starts plus the identity start (which guarantees F >= |<GHZ|psi>|^2).
+With two of the unitaries fixed, the overlap is tr(U E) for the third
+party's unitary U and a 2x2 environment matrix E = W S V^dag; its modulus
+is maximal, equal to the sum of the singular values, at the polar factor
+U = V W^dag.  The maximization alternates these block updates over the
+parties (as for the geometric measure of entanglement, Wei & Goldbart,
+quant-ph/0307219) from a number of random starts plus the identity start
+(which guarantees F >= |<GHZ|psi>|^2), all starts as one batch.  No update
+lowers F.  ``_fidelity_and_grad`` gives F and its gradient in the nine
+angles, a first-order optimality certificate at the returned angles.
 """
 from __future__ import annotations
 
@@ -19,8 +26,11 @@ import numpy as np
 from .errors import InvariantViolationError
 from .tensor import State3Q, ghz_state
 
-_SY = np.array([[0.0, -1j], [1j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+_SQRT_HALF = np.sqrt(0.5)
+_SWEEP_TOL = 1e-15     # a sweep raising no start's F by more than this ends the search
+_MAX_SWEEPS = 1000
+_TIE_MARGIN = 1e-12    # F gains within this margin do not displace an earlier start
 
 
 @dataclass(frozen=True)
@@ -49,27 +59,34 @@ def ghz_fidelity(state: State3Q) -> float:
     return float(abs(np.vdot(ghz_state().amps, state.amps)) ** 2)
 
 
-def _rz(a: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * a), 0.0], [0.0, np.exp(0.5j * a)]])
-
-
-def _ry(b: float) -> np.ndarray:
-    c, s = np.cos(0.5 * b), np.sin(0.5 * b)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def su2(angles) -> np.ndarray:
-    """ZYZ Euler unitary Rz(a) Ry(b) Rz(c)."""
-    a, b, c = angles
-    return _rz(a) @ _ry(b) @ _rz(c)
+    """ZYZ Euler unitary Rz(a) Ry(b) Rz(c); angles of shape (..., 3) give a
+    stack of unitaries of shape (..., 2, 2)."""
+    a, b, c = np.moveaxis(np.asarray(angles, dtype=np.float64), -1, 0)
+    p, m = np.exp(-0.5j * (a + c)), np.exp(-0.5j * (a - c))
+    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
+    return np.stack([np.stack([p * cb, -m * sb], axis=-1),
+                     np.stack([np.conj(m) * sb, np.conj(p) * cb], axis=-1)], axis=-2)
+
+
+def zyz_angles(u: np.ndarray) -> np.ndarray:
+    """ZYZ angles (a, b, c) with su2((a, b, c)) equal to the unitary u up to
+    a global phase; u of shape (..., 2, 2) gives angles of shape (..., 3).
+
+    Dividing by sqrt(det u) puts u in SU(2), where its first column is
+    (e^{-i(a+c)/2} cos(b/2), e^{i(a-c)/2} sin(b/2)).
+    """
+    u = u / np.sqrt(np.linalg.det(u))[..., np.newaxis, np.newaxis]
+    b = 2.0 * np.arctan2(np.abs(u[..., 1, 0]), np.abs(u[..., 0, 0]))
+    s, d = np.angle(u[..., 1, 0]), np.angle(u[..., 0, 0])
+    return np.stack([s - d, b, -s - d], axis=-1)
 
 
 def _su2_with_derivatives(angles) -> tuple[np.ndarray, list[np.ndarray]]:
     a, b, c = angles
-    rza, ryb, rzc = _rz(a), _ry(b), _rz(c)
-    u = rza @ ryb @ rzc
+    u = su2(angles)
     du_a = -0.5j * _SZ @ u
-    du_b = rza @ (-0.5j * _SY) @ ryb @ rzc
+    du_b = 0.5 * su2((a, b + np.pi, c))     # d Ry(b)/db = Ry(b + pi)/2
     du_c = u @ (-0.5j * _SZ)
     return u, [du_a, du_b, du_c]
 
@@ -94,42 +111,59 @@ def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.nd
     return float(abs(o) ** 2), grad
 
 
+def _environment(u1: np.ndarray, u2: np.ndarray, psi_p: np.ndarray) -> np.ndarray:
+    """Environment matrices E of the party whose axis leads psi_p, given
+    the stacks u1, u2 of the other two parties' unitaries (in axis order):
+    the GHZ overlap is tr(U E) for that party's unitary U."""
+    return np.einsum("rik,rim,jkm->rji", u1, u2, psi_p) * _SQRT_HALF
+
+
+def _polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each E = W S V^dag of the stack, the unitary V W^dag maximizing
+    |tr(U E)|, and that maximum, the sum of the singular values S."""
+    w, s, vh = np.linalg.svd(e)
+    return np.conj(np.swapaxes(w @ vh, -1, -2)), s.sum(axis=-1)
+
+
 def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
                         seed: int = 0) -> tuple[float, LocalUnitaryTriple]:
     """Maximal GHZ fidelity over local unitaries, with an optimal triple.
 
-    Multistart gradient optimization: ``restarts`` random 9-angle starts
-    plus the identity start.  Deterministic for fixed (state, restarts,
-    seed); the returned triple reproduces F when applied to the state.
+    Alternating polar updates from ``restarts`` random 9-angle starts plus
+    the identity start, all run as one batch.  Deterministic for fixed
+    (state, restarts, seed); the returned triple reproduces F when applied
+    to the state.
     """
-    # imported here, not at the top: scipy.optimize is most of the import cost
-    from scipy.optimize import minimize
-
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     psi = state.tensor
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(9)]
-    starts += [rng.uniform(0.0, 2.0 * np.pi, size=9) for _ in range(restarts)]
+    theta = np.vstack([np.zeros(9), rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 9))])
+    ua, ub, uc = (su2(theta[:, 3 * p: 3 * p + 3]) for p in range(3))
+    psi_b, psi_c = psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)
+    f = np.zeros(restarts + 1)
+    # no update lowers F; near W the convergence is sublinear, so some start
+    # can keep gaining more than _SWEEP_TOL per sweep for thousands of sweeps
+    # long after the best one has settled, and the cap bounds that tail
+    for _ in range(_MAX_SWEEPS):
+        ua, _ = _polar_update(_environment(ub, uc, psi))
+        ub, _ = _polar_update(_environment(ua, uc, psi_b))
+        uc, overlap = _polar_update(_environment(ua, ub, psi_c))
+        f_prev, f = f, overlap * overlap
+        if np.max(f - f_prev) <= _SWEEP_TOL:
+            break
 
-    def neg(theta):
-        f, g = _fidelity_and_grad(theta, psi)
-        return -f, -g
-
-    best_f, best_theta = ghz_fidelity(state), np.zeros(9)
-    for theta0 in starts:
-        res = minimize(neg, theta0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 400, "ftol": 1e-15, "gtol": 1e-12})
-        f = -float(res.fun)
-        # margin keeps the earliest start on ties (identity wins when the
-        # optimum is a manifold through it), making the triple deterministic
-        if f > best_f + 1e-12:
-            best_f, best_theta = f, res.x
-
-    triple = LocalUnitaryTriple(
-        ua=su2(best_theta[0:3]), ub=su2(best_theta[3:6]), uc=su2(best_theta[6:9]),
-        angles=best_theta.reshape(3, 3),
-    )
+    best_f, best = ghz_fidelity(state), None
+    for i, fi in enumerate(f):
+        # margin keeps the earliest start on ties (the identity triple wins
+        # when the optimum is a manifold through it), making the triple
+        # deterministic
+        if fi > best_f + _TIE_MARGIN:
+            best_f, best = float(fi), i
+    angles = (np.zeros((3, 3)) if best is None
+              else zyz_angles(np.stack([ua[best], ub[best], uc[best]])))
+    triple = LocalUnitaryTriple(ua=su2(angles[0]), ub=su2(angles[1]), uc=su2(angles[2]),
+                                angles=angles)
     return best_f, triple
 
 

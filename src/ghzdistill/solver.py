@@ -25,7 +25,7 @@ the ratio 1/x*, Bob's and Claire's from the two-site ratio formula with
 Alice's filtering folded into the weights.  The grid search
 (``grid_search_probability``) and the direct constrained coefficient
 solver (``solve_coefficients``) are independent slow routes, kept as test
-oracles of the fast path.  Nothing here needs SciPy.
+oracles of the fast path.
 """
 from __future__ import annotations
 
@@ -112,38 +112,34 @@ def _objective(d: ProductDecomposition, x):
 
     For weights mu1 >= mu2 and overlaps (sa, sb, sc) the objective is
 
-        value(x) = (f1*f2/2) * (1 - sqrt(1 - 4(1-sa^2)/f1^2))
-                             * (1 - sqrt(1 - 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2)/f2^2))
+        value(x) = (f1 - sqrt(f1^2 - k1)) (f2 - sqrt(f2^2 - k2)) / 2
 
-        f1(x) = (x^2 + 1)/x
-        f2(x) = (mu2^2 x^2 + 2 mu1 mu2 sb sc x + mu1^2)/x
+        f1(x) = (x^2 + 1)/x,  k1 = 4(1 - sa^2)
+        f2(x) = (mu2^2 x^2 + 2 mu1 mu2 sb sc x + mu1^2)/x,
+        k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).
 
-    Both square-root arguments are analytically nonnegative, but the
-    literal form cancels catastrophically where they vanish (the saturating
-    maxima at x = 1 for sa = 0 and x = mu1/mu2 for sb = sc = 0), turning
-    rounding residue into sqrt(eps) errors.  The code evaluates the
-    equivalent cancellation-free forms
-
-        f1^2 - 4(1-sa^2)  = (x - 1/x)^2 + 4 sa^2
-        f2^2 - k2         = (mu2^2 x - mu1^2/x)^2 + 4 mu1 mu2 sb sc g
-                            + 4 mu1^2 mu2^2 (sb^2 + sc^2),
-        g = mu2^2 x + mu1^2/x,   k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).
-
-    Each radicand is a sum of nonnegative terms in floating point too:
-    ProductDecomposition keeps the overlaps in [0, 1) and mu2 > 0,
-    ``objective`` rejects x <= 0 and the searches stay in [X_LO, X_HI].  So
-    the square roots take their arguments unclamped: a clamp would change
-    no result, and ``np.maximum`` would make each scalar call 2-3 times
-    slower.
+    Each factor f - r, r = sqrt(f^2 - k), cancels where r ~ f (near-product
+    inputs, mu2 << mu1), so it is evaluated as k/(f + r).  The radicands
+    are taken in the cancellation-free form of ``_terms``: a sum of
+    nonnegative terms in floating point too, since ProductDecomposition
+    keeps the overlaps in [0, 1) and mu2 > 0 and x > 0, so the square roots
+    need no clamp.
     """
     f1, f2, _, _, r1, r2 = _terms(d, x)
-    return 0.5 * f1 * f2 * (1.0 - r1 / f1) * (1.0 - r2 / f2)
+    k1 = 4.0 * (1.0 - d.sa * d.sa)
+    k2 = 4.0 * (d.mu1 * d.mu2) ** 2 * (1.0 - d.sb * d.sb) * (1.0 - d.sc * d.sc)
+    return k1 * k2 / (2.0 * (f1 + r1) * (f2 + r2))
 
 
 def _terms(d: ProductDecomposition, x):
     """(f1, f2, h1, h2, r1, r2) at x: h1 = x - 1/x, h2 = mu2^2 x - mu1^2/x
-    and r1, r2 the square roots of the cancellation-free radicands of
-    ``_objective``."""
+    and r1, r2 the square roots of f1^2 - k1 and f2^2 - k2 of ``_objective``,
+    written cancellation-free:
+
+        f1^2 - k1 = h1^2 + 4 sa^2
+        f2^2 - k2 = h2^2 + 4 mu1 mu2 sb sc g + 4 mu1^2 mu2^2 (sb^2 + sc^2),
+        g = mu2^2 x + mu1^2/x.
+    """
     mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
     f1 = (x * x + 1.0) / x
     g = (mu2 * mu2 * x * x + mu1 * mu1) / x
@@ -294,8 +290,9 @@ def closed_form_one_site(d: ProductDecomposition) -> float:
         raise PreconditionViolatedError(
             f"one-site closed form needs sa = sb = 0, got sa={d.sa!r}, sb={d.sb!r}"
         )
-    arg = 1.0 - 4.0 * d.mu1 ** 2 * d.mu2 ** 2 * (1.0 - d.sc ** 2)
-    return 1.0 - np.sqrt(max(0.0, arg))
+    a = 4.0 * d.mu1 ** 2 * d.mu2 ** 2 * (1.0 - d.sc ** 2)
+    # 1 - sqrt(1 - a), without the cancellation for small a
+    return a / (1.0 + np.sqrt(max(0.0, 1.0 - a)))
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,8 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     mu1, mu2, sb, sc = d.mu1, d.mu2, d.sb, d.sc
     pref = 1.0 + 2.0 * mu1 * mu2 * sb * sc
     k2 = 4.0 * mu1 ** 2 * mu2 ** 2 * (1.0 - sb ** 2) * (1.0 - sc ** 2)
-    p = pref * (1.0 - np.sqrt(max(0.0, 1.0 - k2 / pref ** 2)))
+    # pref (1 - sqrt(1 - a)), a = k2/pref^2, without the cancellation for small a
+    p = (k2 / pref) / (1.0 + np.sqrt(max(0.0, 1.0 - k2 / pref ** 2)))
     ratio_beta, ratio_gamma = _two_site_ratios(mu1, mu2, sb, sc)
     return TwoSiteClosedForm(p=float(p), ratio_beta=float(ratio_beta),
                              ratio_gamma=float(ratio_gamma),

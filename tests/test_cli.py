@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import ghzdistill
-from ghzdistill import PovmTriple, exact_branch_probability, ghz_state, normalize
+from ghzdistill import (
+    PovmTriple,
+    closed_form_one_site,
+    decompose,
+    exact_branch_probability,
+    ghz_state,
+    normalize,
+)
 from ghzdistill.cli import main
 from helpers import PSI_B_AMPS
 
@@ -84,6 +91,15 @@ def test_classify_w(capsys, w_file):
     assert doc["result"]["class"] == "WClass"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tol_exits_2(capsys, ghz_file, tol):
+    rc, doc, err = run_cli(capsys, ["classify", "--tol", tol, ghz_file])
+    assert rc == 2
+    assert doc is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_malformed_json_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -151,16 +167,20 @@ def test_distill_w_exits_4(capsys, w_file):
 
 
 def test_distill_not_ghz_found_by_decompose_exits_4(capsys, tmp_path):
-    # --tol 1e-14 lets the CLI's own check pass |000> + 1e-6|111>; the
-    # decomposition then finds the state not GHZ class
+    # |000> + 1e-6|111> is biseparable at the default rank tolerance, and
+    # GHZ class at --tol 1e-14, which must reach the decomposition
     amps = np.zeros(8)
     amps[0], amps[7] = 1.0, 1e-6
     path = write_state(tmp_path / "near_product.json", amps)
-    rc, doc, err = run_cli(capsys, ["distill", "--tol", "1e-14", path])
+    rc, doc, err = run_cli(capsys, ["distill", path])
     assert rc == 4
     assert doc is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+    rc, doc, _ = run_cli(capsys, ["distill", "--tol", "1e-14", path])
+    assert rc == 0
+    d = decompose(normalize(amps), tol=1e-14)
+    assert doc["result"]["p_opt"] == pytest.approx(closed_form_one_site(d), rel=1e-12)
 
 
 def test_distill_package_error_exits_3(capsys, tmp_path):
@@ -298,9 +318,8 @@ def test_console_entry_point(tmp_path, ghz_file):
     assert json.loads(proc.stdout)["result"]["class"] == "GHZClass"
 
 
-def test_pipeline_does_not_import_scipy_optimize():
-    # only optimal_lu_fidelity needs scipy.optimize; classify, distill,
-    # simulate and audit must not pay its import
+def test_package_does_not_import_scipy():
+    # nothing in the package needs SciPy, the LU fidelity included
     src = str(Path(ghzdistill.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -312,7 +331,8 @@ def test_pipeline_does_not_import_scipy_optimize():
         "povms = g.build_povms(d, g.optimal_probability(d))\n"
         "g.run_protocol(st, povms, trials=100, seed=0)\n"
         "g.audit_povm(st, g.random_povm_pair(0), 'A')\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "g.optimal_lu_fidelity(st, restarts=4, seed=0)\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)

@@ -9,8 +9,13 @@ from ghzdistill import (
     optimal_probability_value,
     w_state,
 )
-from ghzdistill.fidelity import _fidelity_and_grad, sampled_fidelity_bound, su2
-from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_unitaries
+from ghzdistill.fidelity import _fidelity_and_grad, sampled_fidelity_bound, su2, zyz_angles
+from ghzdistill.sampling import (
+    apply_local_unitaries,
+    haar_state,
+    haar_unitary,
+    random_local_unitaries,
+)
 from ghzdistill.tensor import basis_state
 from helpers import random_ghz_state
 
@@ -26,6 +31,25 @@ def test_su2_is_unitary():
     for _ in range(20):
         u = su2(rng.uniform(0, 2 * np.pi, 3))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
+
+
+def assert_equal_up_to_phase(u, v, atol):
+    # |tr(u^dag v)| = 2 iff the unitaries u, v differ by a global phase
+    ph = np.trace(u.conj().T @ v)
+    np.testing.assert_allclose(u * ph / abs(ph), v, atol=atol)
+
+
+def test_zyz_angles_invert_su2():
+    rng = np.random.default_rng(11)
+    cases = [haar_unitary(rng) for _ in range(20)]
+    for _ in range(5):
+        p, q = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        cases += [np.diag([p, q]), np.array([[0, p], [q, 0]])]   # b = 0, b = pi
+    for u in cases:
+        assert_equal_up_to_phase(u, su2(zyz_angles(u)), atol=1e-14)
+    # a stack converts entry by entry
+    stack = np.stack(cases[:4])
+    np.testing.assert_allclose(zyz_angles(stack), [zyz_angles(u) for u in cases[:4]])
 
 
 def test_optimal_ghz_is_one_with_identity():
@@ -61,6 +85,21 @@ def test_lower_bound_and_lu_invariance():
         st2 = apply_local_unitaries(st, *random_local_unitaries(rng))
         f1, _ = optimal_lu_fidelity(st2, restarts=16, seed=6)
         assert abs(f0 - f1) < 1e-8
+
+
+def test_returned_triple_reproduces_fidelity_and_is_stationary():
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        st = haar_state(rng)
+        f, triple = optimal_lu_fidelity(st, restarts=8, seed=13)
+        rotated = apply_local_unitaries(st, triple.ua, triple.ub, triple.uc)
+        assert ghz_fidelity(rotated) == pytest.approx(f, abs=1e-12)
+        for u, ang in zip((triple.ua, triple.ub, triple.uc), triple.angles):
+            np.testing.assert_array_equal(u, su2(ang))
+        # first-order optimality certificate at the returned angles
+        f_ang, grad = _fidelity_and_grad(triple.angles.ravel(), st.tensor)
+        assert f_ang == pytest.approx(f, abs=1e-12)
+        assert np.linalg.norm(grad) <= 1e-6
 
 
 def test_restart_seed_stability():

@@ -156,6 +156,19 @@ def test_one_site_examples():
     assert closed_form_one_site(d) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_near_product_probability_has_full_relative_accuracy(eps):
+    # |000> + eps|111> has sa = sb = sc = 0 and optimum 2 mu2^2, which the
+    # literal form 1 - sqrt(1 - a) loses to cancellation as eps -> 0
+    amps = np.zeros(8)
+    amps[0], amps[7] = 1.0, eps
+    d = decompose(normalize(amps), tol=1e-14)
+    assert max(d.sa, d.sb, d.sc) < 1e-12
+    exact = 2.0 * d.mu2 ** 2
+    assert optimal_probability_value(d) == pytest.approx(exact, rel=1e-12)
+    assert closed_form_one_site(d) == pytest.approx(exact, rel=1e-12)
+
+
 def test_one_site_precondition():
     rng = np.random.default_rng(6)
     with pytest.raises(PreconditionViolatedError):

@@ -80,33 +80,10 @@ def _emit(obj, indent: int | None, level: int = 0) -> str:
     raise TypeError(f"cannot emit {type(obj)!r}")
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays into emitter-ready values."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix(m: np.ndarray) -> list:
-    return [[_complex_pair(m[i, j]) for j in range(2)] for i in range(2)]
-
-
-def _vector(v: np.ndarray) -> list:
-    return [_complex_pair(x) for x in v]
+def _complex_pairs(a) -> list:
+    """Complex array as nested lists of [re, im] pairs, one per entry."""
+    a = np.asarray(a)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +148,9 @@ def _cmd_distill(args, state: State3Q) -> dict:
         "decomposition": {
             "mu1": d.mu1, "mu2": d.mu2, "phi": d.phi,
             "sa": d.sa, "sb": d.sb, "sc": d.sc,
-            "a1": _vector(d.a1), "a2": _vector(d.a2),
-            "b1": _vector(d.b1), "b2": _vector(d.b2),
-            "c1": _vector(d.c1), "c2": _vector(d.c2),
+            "a1": _complex_pairs(d.a1), "a2": _complex_pairs(d.a2),
+            "b1": _complex_pairs(d.b1), "b2": _complex_pairs(d.b2),
+            "c1": _complex_pairs(d.c1), "c2": _complex_pairs(d.c2),
         },
         "coefficients": {
             "alpha1": sol.alpha1, "alpha2": sol.alpha2,
@@ -182,9 +159,8 @@ def _cmd_distill(args, state: State3Q) -> dict:
         },
         "phases": {"a": sol.phase_a, "b": sol.phase_b, "c": sol.phase_c},
         "povms": {
-            "A": {"success": _matrix(povms.success_a), "failure": _matrix(povms.failure_a)},
-            "B": {"success": _matrix(povms.success_b), "failure": _matrix(povms.failure_b)},
-            "C": {"success": _matrix(povms.success_c), "failure": _matrix(povms.failure_c)},
+            party: {"success": _complex_pairs(succ), "failure": _complex_pairs(fail)}
+            for succ, fail, party in povms.pairs()
         },
     }
 
@@ -214,7 +190,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
         if d.sa > 1e-10:
             raise CliError(EXIT_PARSE,
                            "diagonal scan needs an orthogonal Alice pair (sa = 0)")
-        table = scan_diagonal_family(state, args.diagonal_scan)
+        table = scan_diagonal_family(state, args.diagonal_scan, d)
         i_min = int(np.argmin(table[:, 1]))
         return {
             "p_before": p_before,
@@ -330,7 +306,7 @@ def main(argv=None) -> int:
     envelope = {
         "command": args.command,
         "input_label": label,
-        "result": _plain(result),
+        "result": result,
         "diagnostics": {
             "tolerances": {"rank_tol": args.tol},
             "seed": args.seed,

@@ -189,7 +189,10 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     Returns a dict with keys "class" (EntanglementClass), "ranks" (per
     party), "root_separation" (squared chordal distance of the
     product-vector quadratic roots, None when the rank tests already
-    decided) and "product_vectors" (2, 1 or None accordingly).
+    decided), "product_vectors" (2, 1 or None accordingly) and "roots"
+    (the two unit projective roots (s, t) of the quadratic, which
+    ``decompose`` turns into the product vectors; None when the rank tests
+    decided, or when the quadratic has no nonzero root vector).
 
     Local ranks separate product and biseparable states; genuinely
     tripartite states are split into GHZ/W class by counting product
@@ -201,7 +204,7 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
 
     def decided(cls, ranks):
         return {"class": cls, "ranks": ranks, "root_separation": None,
-                "product_vectors": None}
+                "product_vectors": None, "roots": None}
 
     pure = [p for p, r in ranks.items() if r == 1]
     if len(pure) >= 2:
@@ -232,7 +235,7 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     else:
         cls, nvec = EntanglementClass.GHZ_CLASS, 2
     return {"class": cls, "ranks": ranks, "root_separation": sep,
-            "product_vectors": nvec}
+            "product_vectors": nvec, "roots": roots}
 
 
 def classify(state: State3Q, tol: float = 1e-10) -> EntanglementClass:
@@ -273,14 +276,15 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     ``tol``) and IllConditionedError when the two product vectors are nearly
     parallel (W-class boundary).
     """
-    cls = classify(state, tol)
+    ev = classification_evidence(state, tol)
+    cls = ev["class"]
     if cls is not EntanglementClass.GHZ_CLASS:
-        raise NotGHZClassError(f"state is {cls.value}; no two-term product form exists")
+        raise NotGHZClassError(f"state is {cls.value}; no two-term product form exists", cls)
 
     w0, w1 = state.amps[:4], state.amps[4:]
-    roots = _homogeneous_roots(*_quadratic_coeffs(w0, w1))
-    p1 = roots[0][0] * w0 + roots[0][1] * w1
-    p2 = roots[1][0] * w0 + roots[1][1] * w1
+    r1, r2 = ev["roots"]
+    p1 = r1[0] * w0 + r1[1] * w1
+    p2 = r2[0] * w0 + r2[1] * w1
     p1 /= np.linalg.norm(p1)
     p2 /= np.linalg.norm(p2)
     if np.sqrt(_projective_distance_sq(p1, p2)) < PRODUCT_ANGLE_TOL:
@@ -290,14 +294,11 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     b2, c2 = _rank1_factor(p2)
 
     # psi = a1~ (x) (b1 x c1) + a2~ (x) (b2 x c2): solve the 8x4 linear system
-    # for the unnormalized Alice vectors.
+    # for the unnormalized Alice vectors, columns (|0>, |1>) (x) bc1, then bc2.
+    bc1, bc2 = np.kron(b1, c1), np.kron(b2, c2)
     basis = np.zeros((8, 4), dtype=np.complex128)
-    for j, (e, bc) in enumerate(
-        ((0, np.kron(b1, c1)), (1, np.kron(b1, c1)), (0, np.kron(b2, c2)), (1, np.kron(b2, c2)))
-    ):
-        col = np.zeros(8, dtype=np.complex128)
-        col[4 * e: 4 * e + 4] = bc
-        basis[:, j] = col
+    basis[:4, 0] = basis[4:, 1] = bc1
+    basis[:4, 2] = basis[4:, 3] = bc2
     sol, *_ = np.linalg.lstsq(basis, state.amps, rcond=None)
     if np.linalg.norm(basis @ sol - state.amps) > 1e-8:
         raise IllConditionedError("could not express the state in its product-vector pair")

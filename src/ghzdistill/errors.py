@@ -14,7 +14,14 @@ class InvariantViolationError(GhzDistillError):
 
 
 class NotGHZClassError(GhzDistillError, ValueError):
-    """Operation requires a GHZ-class state and got something else."""
+    """Operation requires a GHZ-class state and got something else.
+
+    ``cls`` is the EntanglementClass the state was found to be in.
+    """
+
+    def __init__(self, message: str, cls=None):
+        super().__init__(message)
+        self.cls = cls
 
 
 class IllConditionedError(GhzDistillError):

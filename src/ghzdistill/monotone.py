@@ -20,8 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import EntanglementClass, ProductDecomposition, classify, decompose
-from .errors import InfeasibleXError, InvariantViolationError, PreconditionViolatedError
+from .decomposition import EntanglementClass, ProductDecomposition, decompose
+from .errors import (
+    InfeasibleXError,
+    InvariantViolationError,
+    NotGHZClassError,
+    PreconditionViolatedError,
+)
 from .sampling import crandn
 from .simulate import _check_pair, _ops_for
 from .solver import optimal_probability_value
@@ -69,15 +74,21 @@ def random_povm_pair(seed) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _branch(state: State3Q, op: np.ndarray, party: str) -> BranchOutcome:
+    """Outcome of applying ``op`` to one party.
+
+    The post-measurement state is decomposed once: a GHZ-class outcome is
+    labelled and valued from its decomposition, any other class is taken
+    from the NotGHZClassError and valued 0.  IllConditionedError propagates.
+    """
     raw, p = apply_local(state, *_ops_for(party, op))
     if p < _NEGLIGIBLE_BRANCH:
         return BranchOutcome(probability=p, label="negligible", p_value=0.0)
-    post = normalize(raw)
-    cls = classify(post)
-    if cls is not EntanglementClass.GHZ_CLASS:
-        return BranchOutcome(probability=p, label=cls.value, p_value=0.0)
-    return BranchOutcome(probability=p, label=cls.value,
-                         p_value=optimal_probability_value(decompose(post)))
+    try:
+        d = decompose(normalize(raw))
+    except NotGHZClassError as e:
+        return BranchOutcome(probability=p, label=e.cls.value, p_value=0.0)
+    return BranchOutcome(probability=p, label=EntanglementClass.GHZ_CLASS.value,
+                         p_value=optimal_probability_value(d))
 
 
 def audit_povm(state: State3Q, povm_pair, party: str,
@@ -129,7 +140,8 @@ def diagonal_family_audit(state: State3Q, x: float,
     Requires a decomposition with sa = 0 (Alice's local pair orthogonal);
     the feasible range of x is [2 mu1^2 - 1, 1], the subset of the nominal
     interval on which all four diagonal squares stay in [0, 1].  Both
-    outcomes occur with probability exactly 1/2.
+    outcomes occur with probability exactly 1/2.  ``d`` and ``p_before``
+    are computed when not given, ``p_before`` from ``d``.
     """
     if d is None:
         d = decompose(state)
@@ -137,22 +149,26 @@ def diagonal_family_audit(state: State3Q, x: float,
         raise PreconditionViolatedError(
             f"diagonal family needs an orthogonal Alice pair, got sa={d.sa!r}"
         )
+    if p_before is None:
+        p_before = optimal_probability_value(d)
     return audit_povm(state, _diagonal_pair(d, x), "A", p_before=p_before)
 
 
-def scan_diagonal_family(state: State3Q, steps: int) -> np.ndarray:
+def scan_diagonal_family(state: State3Q, steps: int,
+                         d: ProductDecomposition | None = None) -> np.ndarray:
     """Sweep the feasible x range uniformly; returns an array of (x, slack).
 
-    The slack is nonnegative up to solver tolerance everywhere and reaches
-    zero only around x = mu1^2.
+    ``d`` is the decomposition of ``state`` to scan with (for example one
+    made at a caller's rank tolerance); the state is decomposed at the
+    default tolerance when it is not given.  Like ``diagonal_family_audit``,
+    the scan raises PreconditionViolatedError unless sa = 0.  The slack is
+    nonnegative up to solver tolerance everywhere and reaches zero only
+    around x = mu1^2.
     """
     if steps < 3:
         raise ValueError("steps must be >= 3")
-    d = decompose(state)
-    if d.sa > 1e-10:
-        raise PreconditionViolatedError(
-            f"diagonal family needs an orthogonal Alice pair, got sa={d.sa!r}"
-        )
+    if d is None:
+        d = decompose(state)
     p_before = optimal_probability_value(d)
     xs = np.linspace(2.0 * d.mu1 ** 2 - 1.0, 1.0, steps)
     out = np.empty((steps, 2))

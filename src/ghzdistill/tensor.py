@@ -77,10 +77,7 @@ def basis_state(bits: str) -> State3Q:
 
 
 def _party_axes(parties) -> tuple[int, ...]:
-    if isinstance(parties, str):
-        names = list(parties)
-    else:
-        names = list(parties)
+    names = list(parties)
     if not names or any(p not in _AXIS for p in names) or len(set(names)) != len(names):
         raise ValueError(f"parties must be a nonempty subset of A,B,C; got {parties!r}")
     axes = tuple(sorted(_AXIS[p] for p in names))

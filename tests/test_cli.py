@@ -11,11 +11,13 @@ import pytest
 import ghzdistill
 from ghzdistill import (
     PovmTriple,
+    ProductDecomposition,
     closed_form_one_site,
     decompose,
     exact_branch_probability,
     ghz_state,
     normalize,
+    reconstruct,
 )
 from ghzdistill.cli import main
 from helpers import PSI_B_AMPS
@@ -251,6 +253,25 @@ def test_audit_diagonal_scan(capsys, psi_b_file):
     res = doc["result"]
     assert res["min_slack_x"] == pytest.approx(0.5, abs=0.01)
     assert min(res["slack"]) >= -1e-8
+
+
+def test_audit_diagonal_scan_decomposes_at_tol(capsys, tmp_path):
+    # sa = 0, sb = sc = 0.5, mu2/mu1 = 3e-6: fully product at the default
+    # rank tolerance, GHZ class at --tol 1e-14, which the scan must use too
+    m1 = 1.0 / np.sqrt(1.0 + 9e-12)
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    v = np.array([0.5, np.sqrt(0.75)])
+    d = ProductDecomposition(mu1=m1, mu2=3e-6 * m1, phi=0.0, a1=e0, a2=e1,
+                             b1=e0, b2=v, c1=e0, c2=v, sa=0.0, sb=0.5, sc=0.5)
+    path = write_state(tmp_path / "near_product.json", reconstruct(d).amps)
+    rc, distilled, _ = run_cli(capsys, ["distill", path, "--tol", "1e-14"])
+    assert rc == 0
+    rc, doc, err = run_cli(capsys, ["audit", path, "--tol", "1e-14", "--diagonal-scan", "5"])
+    assert rc == 0, err
+    assert doc["result"]["p_before"] == distilled["result"]["p_opt"]
+    assert len(doc["result"]["slack"]) == 5
+    rc, _, err = run_cli(capsys, ["audit", path, "--diagonal-scan", "5"])
+    assert rc == 4 and "FullyProduct" in err
 
 
 def test_audit_w_exits_4(capsys, w_file):

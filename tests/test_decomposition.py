@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from ghzdistill import (
     EntanglementClass,
+    classification_evidence,
     classify,
     decompose,
     dual_basis,
@@ -12,6 +13,7 @@ from ghzdistill import (
     reconstruct,
     w_state,
 )
+from ghzdistill import decomposition
 from ghzdistill.errors import NotGHZClassError, ParallelVectorsError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.tensor import fidelity_with
@@ -105,6 +107,44 @@ def test_decompose_rejects_w_class():
 def test_decompose_rejects_biseparable():
     with pytest.raises(NotGHZClassError):
         decompose(normalize([1, 0, 0, 1, 0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("amps", [
+    [0, 1, 1, 0, 1, 0, 0, 0],       # W
+    [1, 0, 0, 0, 0, 0, 0, 0],       # |000>
+    [1, 0, 0, 1, 0, 0, 0, 0],       # A|BC
+    [1, 0, 0, 0, 0, 1, 0, 0],       # B|AC
+    [1, 0, 0, 0, 0, 0, 1, 0],       # C|AB
+], ids=["W", "product", "A|BC", "B|AC", "C|AB"])
+def test_not_ghz_error_carries_the_class(amps):
+    st = normalize(amps)
+    with pytest.raises(NotGHZClassError) as info:
+        decompose(st)
+    assert info.value.cls is classify(st)
+
+
+def test_evidence_roots_only_when_the_quadratic_decides():
+    assert classification_evidence(normalize([1, 0, 0, 1, 0, 0, 0, 0]))["roots"] is None
+    for st in (ghz_state(), w_state()):
+        r1, r2 = classification_evidence(st)["roots"]
+        assert np.linalg.norm(r1) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(r2) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_decompose_solves_the_quadratic_once(monkeypatch):
+    calls = []
+    original = decomposition._homogeneous_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decomposition, "_homogeneous_roots", counted)
+    rng = np.random.default_rng(5)
+    for st in (ghz_state(), psi_b(), random_ghz_state(rng)):
+        calls.clear()
+        decompose(st)
+        assert len(calls) == 1
 
 
 def test_roundtrip_examples():

@@ -11,6 +11,7 @@ from ghzdistill import (
     random_povm_pair,
     scan_diagonal_family,
 )
+from ghzdistill import decomposition
 from ghzdistill.errors import InfeasibleXError, PreconditionViolatedError
 from ghzdistill.monotone import _diagonal_pair
 from helpers import make_decomposition, psi_b, random_ghz_state
@@ -77,6 +78,26 @@ def test_random_audits_never_negative():
             rep = audit_povm(st, random_povm_pair(seed), party, p_before=p_before)
             seed += 1
             assert rep.slack >= -1e-7
+
+
+def test_audit_classifies_each_state_once(monkeypatch):
+    calls = []
+    original = decomposition.classification_evidence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    st = random_ghz_state(np.random.default_rng(6))
+    pair = random_povm_pair(0)
+    p_before = optimal_probability_value(decompose(st))
+    monkeypatch.setattr(decomposition, "classification_evidence", counted)
+    rep = audit_povm(st, pair, "A", p_before=p_before)
+    assert [b.label for b in rep.branches] == ["GHZClass", "GHZClass"]
+    assert len(calls) == 2          # one per branch
+    calls.clear()
+    audit_povm(st, pair, "A")
+    assert len(calls) == 3          # and one for p_before
 
 
 # --------------------------------------------------------- diagonal family
@@ -163,6 +184,19 @@ def test_scan_argmin_near_mu1_squared_random():
         i = int(np.argmin(tab[:, 1]))
         assert abs(tab[i, 0] - d.mu1 ** 2) <= step + 1e-12
         assert np.all(tab[:, 1] >= -1e-8)
+
+
+def test_scan_with_callers_decomposition_matches_default():
+    rng = np.random.default_rng(7)
+    for st in (ghz_state(), psi_b(), reconstruct(make_decomposition(rng, sa=0.0))):
+        tab = scan_diagonal_family(st, 11, decompose(st))
+        assert tab.tobytes() == scan_diagonal_family(st, 11).tobytes()
+
+
+def test_scan_needs_orthogonal_alice_pair():
+    st = reconstruct(make_decomposition(np.random.default_rng(3), sa=0.5))
+    with pytest.raises(PreconditionViolatedError):
+        scan_diagonal_family(st, 5)
 
 
 def test_scan_rejects_too_few_steps():

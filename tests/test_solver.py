@@ -53,6 +53,14 @@ def test_objective_nonnegative_over_range():
         assert all(objective(d, float(x)) >= 0.0 for x in xs)
 
 
+def test_objective_nonnegative_everywhere():
+    rng = np.random.default_rng(4)
+    xs = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
+    for _ in range(50):
+        d = make_decomposition(rng)
+        assert np.all(_objective(d, xs) >= 0.0)
+
+
 def test_objective_scalar_and_array_agree_exactly():
     rng = np.random.default_rng(1)
     for _ in range(20):

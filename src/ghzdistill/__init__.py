@@ -27,7 +27,6 @@ from .simulate import (
     SimulationReport,
     exact_branch_probability,
     run_protocol,
-    sample_branch,
 )
 from .solver import (
     OsbpSolution,
@@ -40,7 +39,6 @@ from .solver import (
     objective,
     optimal_probability,
     optimal_probability_value,
-    solve_coefficients,
 )
 from .tensor import (
     State3Q,
@@ -93,8 +91,6 @@ __all__ = [
     "reconstruct",
     "reduced_density",
     "run_protocol",
-    "sample_branch",
     "scan_diagonal_family",
-    "solve_coefficients",
     "w_state",
 ]

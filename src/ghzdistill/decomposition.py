@@ -87,9 +87,12 @@ class ProductDecomposition:
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         # the equal-weight tie-break orders terms by their local vectors, so
-        # mu1 may sit a rounding error below mu2
-        if not (self.mu1 >= self.mu2 - _TIE_TOL and self.mu2 > 0.0):
-            raise InvariantViolationError("weights must satisfy mu1 >= mu2 > 0")
+        # mu1 may sit a rounding error below mu2; the solver brackets its
+        # optimum by mu1/mu2, so that ratio must be finite
+        if not (self.mu1 >= self.mu2 - _TIE_TOL and self.mu2 > 0.0
+                and np.isfinite(self.mu1 / self.mu2)):
+            raise InvariantViolationError(
+                "weights must satisfy mu1 >= mu2 > 0 with mu1/mu2 finite")
         for s, name in ((self.sa, "sa"), (self.sb, "sb"), (self.sc, "sc")):
             if not (0.0 <= s < 1.0):
                 raise InvariantViolationError(f"overlap {name}={s!r} outside [0, 1)")

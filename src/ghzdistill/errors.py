@@ -44,9 +44,5 @@ class PreconditionViolatedError(GhzDistillError, ValueError):
     """Closed-form expression used outside the family it is valid for."""
 
 
-class InfeasibleBalanceError(GhzDistillError):
-    """No valid Alice coefficients balance the requested branch weights."""
-
-
 class InfeasibleXError(GhzDistillError, ValueError):
     """Diagonal-family parameter outside the positivity region of the POVM."""

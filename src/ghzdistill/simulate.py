@@ -70,23 +70,6 @@ def _effective_threshold(p0: float) -> float:
     return p0
 
 
-def sample_branch(state: State3Q, povm_pair, party: str, rng) -> tuple[int, State3Q, float]:
-    """Sample one two-outcome POVM on the given party.
-
-    Draws a single uniform from ``rng``; outcome 0 corresponds to the first
-    operator of the pair.  Returns (outcome, normalized post state, the
-    probability of the sampled outcome).
-    """
-    m0, m1 = povm_pair
-    _check_pair(m0, m1)
-    raw0, p0 = apply_local(state, *_ops_for(party, m0))
-    outcome = 0 if rng.random() < _effective_threshold(p0) else 1
-    if outcome == 0:
-        return 0, normalize(raw0), p0
-    raw1, p1 = apply_local(state, *_ops_for(party, m1))
-    return 1, normalize(raw1), p1
-
-
 def exact_branch_probability(state: State3Q, povms: PovmTriple) -> float:
     """Probability of the all-success branch, computed analytically."""
     _, p = apply_local(state, povms.success_a, povms.success_b, povms.success_c)
@@ -104,13 +87,13 @@ def run_protocol(state: State3Q, povms: PovmTriple, trials: int, seed: int) -> S
     Every trial starts from the same state, so the three conditional
     success probabilities and post-measurement states are computed once and
     the per-trial sampling reduces to threshold comparisons on the uniform
-    block; this is exactly equivalent to running sample_branch three times
-    per trial on rows of trial_uniforms (asserted in the test-suite).
+    block; this is exactly equivalent to running the one-party sampler
+    ``sample_branch`` of ``tests/oracles.py`` three times per trial on rows
+    of trial_uniforms (asserted in the test-suite).  ``PovmTriple`` has
+    already checked that each pair is complete.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for succ, fail, _ in povms.pairs():
-        _check_pair(succ, fail)
 
     thresholds = np.zeros(3)
     current = state

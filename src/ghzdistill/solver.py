@@ -23,9 +23,10 @@ The production path is one bisection of that objective's slope on
 magnitudes follow from the optimum x* in closed form: Alice's pair from
 the ratio 1/x*, Bob's and Claire's from the two-site ratio formula with
 Alice's filtering folded into the weights.  The grid search
-(``grid_search_probability``) and the direct constrained coefficient
-solver (``solve_coefficients``) are independent slow routes, kept as test
-oracles of the fast path.
+(``grid_search_probability``) is an independent slow route, kept as a
+test oracle of the fast path; the direct constrained coefficient solver
+that checks the closed-form coefficients is ``solve_coefficients`` in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -35,17 +36,15 @@ import numpy as np
 
 from .decomposition import ProductDecomposition, dual_basis, reconstruct
 from .errors import (
-    InfeasibleBalanceError,
     InvariantViolationError,
     NonPositiveXError,
     PreconditionViolatedError,
 )
 from .tensor import apply_local, fidelity_with, ghz_state, normalize
 
-X_LO = 1e-6
+X_LO = 1e-6             # default x range of grid_search_probability
 X_HI = 1e6
 _U_TOL = 1e-12           # bisection tolerance in u = log x
-_INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
 _ZERO_OVERLAP = 1e-12
 _PLATEAU_RTOL = 1e-12   # objective values this close count as tied maxima
 
@@ -216,7 +215,7 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
     reaches such a point only to within its tolerance, so both ends are
     evaluated exactly.
     """
-    r = min(max(d.mu1 / d.mu2, X_LO), X_HI)
+    r = d.mu1 / d.mu2
     lo, hi = 0.0, max(float(np.log(r)), 0.0)
     while hi - lo > _U_TOL:
         mid = 0.5 * (lo + hi)
@@ -341,11 +340,6 @@ def _two_site_ratios(m1: float, m2: float, sb: float, sc: float) -> tuple[float,
     return ratio_beta, (m2 / m1) ** 2 / ratio_beta
 
 
-def _completion(s: float, k1):
-    """Second coefficient on the curve (1-k1^2)(1-k2^2) = s^2 (s > 0)."""
-    return np.sqrt(1.0 - s * s / (1.0 - np.square(k1)))
-
-
 def _smaller_balance_root(rho, s: float):
     """Smaller root y of rho^2 y^2 - (1+rho^2) y + (1-s^2) = 0.
 
@@ -371,149 +365,19 @@ def _balanced_pair(rho, s: float):
     return rho * k2, k2
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """(f(t), t) at the golden-section maximizer of f on [lo, hi], to tol in t.
-
-    Finds the global maximum when f is unimodal on [lo, hi]; an exact tie
-    between the two probes keeps the lower part of the interval.
-    """
-    a, b = lo, hi
-    c, e = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > tol:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (b - a)
-            fe = f(e)
-    return (fc, c) if fc >= fe else (fe, e)
-
-
-def _maximize_1d(f, lo: float, hi: float, grid_n: int = 128) -> float:
-    """Argmax of f on (lo, hi): vectorized grid seed plus a golden-section
-    polish between the seed's neighbours."""
-    xs = np.linspace(lo, hi, grid_n + 2)[1:-1]
-    vals = f(xs)
-    i = int(np.argmax(vals))
-    blo = xs[i - 1] if i > 0 else lo
-    bhi = xs[i + 1] if i < len(xs) - 1 else hi
-    v, t = _golden_max(lambda t: float(f(t)), float(blo), float(bhi), 1e-11)
-    return t if v >= vals[i] else float(xs[i])
-
-
-def solve_coefficients(d: ProductDecomposition) -> tuple[float, float, float, float, float, float]:
-    """POVM magnitudes (alpha1, alpha2, beta1, beta2, gamma1, gamma2)
-    maximizing the branch probability under the rank-1 completion and
-    balance constraints.
-
-    Direct constrained maximization over the free coefficients: sites with
-    zero overlap are pinned to trivial pairs (their constraint curve
-    degenerates to "one coefficient equals 1" and damping the heavier term
-    there never beats absorbing the balance elsewhere), Alice's pair is
-    eliminated through the balance condition, and whatever remains is a 0-,
-    1- or 2-dimensional smooth maximization handled by nested scalar
-    solvers.  With sa = 0 the balance is carried entirely by Bob and
-    Claire (alpha1 = alpha2 = 1 at the optimum) and the feasible curve is
-    walked in closed form.
-
-    Slow and independent of the 1-D objective, this is the test oracle of
-    the closed-form coefficients in ``optimal_probability``.  On the
-    sa = sb = sc = 0 plateau the two pick different optimal points.
-    """
-    mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
-    free_b = sb > _ZERO_OVERLAP
-    free_c = sc > _ZERO_OVERLAP
-    r = mu1 / mu2
-
-    def finish(b1, b2, g1, g2):
-        rho = (mu2 * b2 * g2) / (mu1 * b1 * g1)
-        a1, a2 = _balanced_pair(rho, sa)
-        if not (0.0 < a1 <= 1.0 + 1e-12 and 0.0 < a2 <= 1.0 + 1e-12):
-            raise InfeasibleBalanceError(
-                f"no Alice coefficients balance ratio {rho!r}"
-            )
-        return (float(min(a1, 1.0)), float(min(a2, 1.0)),
-                float(b1), float(b2), float(g1), float(g2))
-
-    if sa <= _ZERO_OVERLAP:
-        if not free_b and not free_c:
-            return finish(1.0, 1.0, 1.0, 1.0)
-        if free_b != free_c:
-            # single acting site: balance mu1 k1 = mu2 k2 on its curve, so
-            # k2/k1 = r and k1^2 is the smaller root of the ratio quadratic
-            s = sb if free_b else sc
-            g = _smaller_balance_root(r, s)
-            k1, k2 = np.sqrt(g), r * np.sqrt(g)
-            return finish(k1, k2, 1.0, 1.0) if free_b else finish(1.0, 1.0, k1, k2)
-
-        # both sites act; alpha1 = alpha2 = 1, so the balance condition picks
-        # Claire's point on her curve as a function of Bob's
-        def claire_point(b1):
-            b2 = _completion(sb, b1)
-            k = (mu2 * b2) / (mu1 * b1)       # = gamma1/gamma2 from balance
-            h = _smaller_balance_root(k, sc)  # gamma2^2
-            return b2, k * np.sqrt(h), np.sqrt(h)
-
-        def value(b1):
-            _, g1, _ = claire_point(b1)
-            return 2.0 * np.square(mu1 * b1 * g1)
-
-        b1 = _maximize_1d(value, 0.0, np.sqrt(1.0 - sb * sb))
-        b2, g1, g2 = claire_point(b1)
-        return finish(b1, b2, g1, g2)
-
-    def probability(b1, g1, b2, g2):
-        rho = (mu2 * b2 * g2) / (mu1 * b1 * g1)
-        a1, _ = _balanced_pair(rho, sa)
-        return 2.0 * np.square(a1 * b1 * g1 * mu1)
-
-    if not free_b and not free_c:
-        return finish(1.0, 1.0, 1.0, 1.0)
-
-    if free_b != free_c:
-        s = sb if free_b else sc
-
-        def value(k1):
-            return probability(k1, 1.0, _completion(s, k1), 1.0)
-
-        k1 = _maximize_1d(value, 0.0, np.sqrt(1.0 - s * s))
-        k2 = float(_completion(s, k1))
-        return finish(k1, k2, 1.0, 1.0) if free_b else finish(1.0, 1.0, k1, k2)
-
-    g1_hi = np.sqrt(1.0 - sc * sc)
-
-    def best_claire(b1):
-        b2 = float(_completion(sb, b1))
-        g1 = _maximize_1d(lambda g: probability(b1, g, b2, _completion(sc, g)),
-                          0.0, g1_hi)
-        return g1, b2
-
-    def outer(b1_arr):
-        b1_arr = np.atleast_1d(b1_arr)
-        out = np.empty_like(b1_arr)
-        for i, b1 in enumerate(b1_arr):
-            g1, b2 = best_claire(float(b1))
-            out[i] = probability(b1, g1, b2, _completion(sc, g1))
-        return out if out.size > 1 else float(out[0])
-
-    b1 = _maximize_1d(outer, 0.0, np.sqrt(1.0 - sb * sb), grid_n=64)
-    g1, b2 = best_claire(b1)
-    return finish(b1, b2, g1, float(_completion(sc, g1)))
-
-
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
+def _rank1_sqrt(h: np.ndarray) -> np.ndarray:
+    """sqrt(l) f f^dag for the largest eigenpair (l, f) of the PSD matrix h:
+    its square root with the smaller eigenvalue set to zero."""
     ev, vec = np.linalg.eigh(h)
     if ev[0] < -1e-10:
         raise InvariantViolationError(f"failure operator square has eigenvalue {ev[0]!r}")
-    # the completion constraint makes one eigenvalue exactly zero (both, at a
-    # zero-overlap site with the trivial pair); clamp the rounding residue so
-    # the square root does not lift it to sqrt(eps).  h = I - S^dag S has its
-    # eigenvalues in [0, 1], so the residue is measured against the identity's
-    # scale, not against ev[-1], which is itself residue when h vanishes
+    # h = I - S^dag S has its eigenvalues in [0, 1]: clear residue below 1e-12
+    # so F is exactly 0 where the completion vanishes (a zero-overlap site
+    # with the trivial pair).  The completion constraint makes the smaller
+    # eigenvalue exactly zero; near W its residue grows like eps/(1 - s^2),
+    # past any fixed clamp, so drop it outright to keep F rank 1
     ev = np.where(ev > 1e-12, ev, 0.0)
+    ev[0] = 0.0
     return (vec * np.sqrt(ev)) @ vec.conj().T
 
 
@@ -521,10 +385,9 @@ def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
     """Explicit two-outcome POVMs realizing the optimal branch.
 
     Success operators map the (generally non-orthogonal) local pairs onto
-    |0>, |1> through the biorthogonal basis; failure operators are the PSD
-    square roots of the completions, rank 1 by construction (identically
-    zero in the fully orthogonal balanced case, where nobody needs to
-    filter).  Applying the success triple to the decomposed state is
+    |0>, |1> through the biorthogonal basis; failure operators are the
+    rank-1 square roots of the completions (identically zero in the fully
+    orthogonal balanced case, where nobody needs to filter).  Applying the success triple to the decomposed state is
     verified here to give the GHZ state at probability p_opt.
     """
     ops = {}
@@ -538,7 +401,7 @@ def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
         succ[0, :] = k1 * t1.conj()
         succ[1, :] = k2 * np.exp(1j * phase) * t2.conj()
         comp = np.eye(2) - succ.conj().T @ succ
-        ops[site] = (succ, _psd_sqrt(comp))
+        ops[site] = (succ, _rank1_sqrt(comp))
 
     triple = PovmTriple(
         success_a=ops["a"][0], failure_a=ops["a"][1],

@@ -28,7 +28,6 @@ from ghzdistill import (
     reduced_density,
     run_protocol,
     scan_diagonal_family,
-    solve_coefficients,
 )
 from ghzdistill.cli import main
 from ghzdistill.fidelity import _fidelity_and_grad, sampled_fidelity_bound
@@ -36,6 +35,7 @@ from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_
 from ghzdistill.simulate import exact_branch_probability
 from ghzdistill.tensor import basis_state, fidelity_with
 from helpers import make_decomposition, random_ghz_state
+from oracles import solve_coefficients
 from test_cli import parse_matrix, write_state
 
 

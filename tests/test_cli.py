@@ -186,11 +186,11 @@ def test_distill_not_ghz_found_by_decompose_exits_4(capsys, tmp_path):
 
 
 def test_distill_package_error_exits_3(capsys, tmp_path):
-    # W + 1e-4|111> classifies as GHZ, but the POVM construction fails one
+    # W + 1e-6|111> classifies as GHZ, but the POVM construction fails one
     # of its invariant checks
     amps = np.zeros(8)
     amps[[1, 2, 4]] = 1 / np.sqrt(3)
-    amps[7] = 1e-4
+    amps[7] = 1e-6
     path = write_state(tmp_path / "near_w.json", amps)
     rc, doc, err = run_cli(capsys, ["distill", path])
     assert rc == 3

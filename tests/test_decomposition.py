@@ -14,7 +14,11 @@ from ghzdistill import (
     w_state,
 )
 from ghzdistill import decomposition
-from ghzdistill.errors import NotGHZClassError, ParallelVectorsError
+from ghzdistill.errors import (
+    InvariantViolationError,
+    NotGHZClassError,
+    ParallelVectorsError,
+)
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
@@ -186,6 +190,16 @@ def test_lu_covariance_of_invariants():
         assert abs(d0.sc - d1.sc) < 1e-8
         dphi = abs(d0.phi - d1.phi)
         assert min(dphi, 2 * np.pi - dphi) < 1e-8
+
+
+def test_weights_need_a_finite_ratio():
+    # the solver brackets x* by mu1/mu2; a subnormal mu2 makes it infinite
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    fields = dict(mu1=1.0, phi=0.0, a1=e0, a2=e1, b1=e0, b2=e1, c1=e0, c2=e1,
+                  sa=0.0, sb=0.0, sc=0.0)
+    decomposition.ProductDecomposition(mu2=1e-300, **fields)
+    with pytest.raises(InvariantViolationError):
+        decomposition.ProductDecomposition(mu2=1e-320, **fields)
 
 
 def test_decompose_deterministic():

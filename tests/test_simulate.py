@@ -14,11 +14,12 @@ from ghzdistill import (
     normalize,
     optimal_probability,
     run_protocol,
-    sample_branch,
 )
+from ghzdistill.errors import InvariantViolationError
 from ghzdistill.simulate import trial_uniforms
 from ghzdistill.tensor import basis_state, fidelity_with
 from helpers import psi_b, random_ghz_state
+from oracles import sample_branch
 
 _EYE = np.eye(2, dtype=complex)
 _P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -131,6 +132,17 @@ def test_run_protocol_matches_sequential_sampling():
             current = post
         successes += ok
     assert successes == rep.successes
+
+
+def test_run_protocol_input_is_complete_by_construction():
+    # run_protocol relies on PovmTriple for completeness: an incomplete pair
+    # cannot be built, and a built one cannot be changed afterwards
+    z = np.zeros((2, 2), dtype=complex)
+    with pytest.raises(InvariantViolationError):
+        PovmTriple(_P0, z, _EYE, z, _EYE, z)
+    t = identity_triple()
+    with pytest.raises(ValueError):
+        t.success_a[0, 0] = 0.5
 
 
 def test_run_protocol_rejects_zero_trials():

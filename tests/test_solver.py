@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from ghzdistill import (
     apply_local,
+    basis_state,
     build_povms,
     closed_form_one_site,
     closed_form_two_sites,
@@ -16,13 +17,14 @@ from ghzdistill import (
     optimal_probability_value,
     reconstruct,
     reduced_density,
-    solve_coefficients,
+    w_state,
 )
 from ghzdistill.errors import NonPositiveXError, PreconditionViolatedError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import X_HI, X_LO, _objective, _rising
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
+from oracles import solve_coefficients
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -399,6 +401,24 @@ def test_povms_zero_overlap_sites():
             st = apply_local_unitaries(reconstruct(d), *random_local_unitaries(rng))
             d = decompose(st)
             build_povms(d, optimal_probability(d))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+@pytest.mark.parametrize("added, p_per_eps2", [("ghz", 2.0), ("111", 4.0)])
+def test_povms_near_w_have_rank1_failure_operators(added, p_per_eps2, eps):
+    # near W the dual vectors are long and the completion's null eigenvalue
+    # keeps a rounding residue above any fixed clamp; the failure operators
+    # must still come out rank 1
+    extra = ghz_state().amps if added == "ghz" else basis_state("111").amps
+    d = decompose(normalize(w_state().amps + eps * extra))
+    sol = optimal_probability(d)
+    assert sol.p_opt == pytest.approx(p_per_eps2 * eps * eps, rel=1e-6)
+    t = build_povms(d, sol)
+    for succ, fail, _ in t.pairs():
+        comp = succ.conj().T @ succ + fail.conj().T @ fail
+        assert np.max(np.abs(comp - np.eye(2))) < 1e-10
+        sv = np.linalg.svd(fail, compute_uv=False)
+        assert sv[1] <= 1e-8 * sv[0]
 
 
 def test_povms_distill_exactly_end_to_end():

@@ -115,10 +115,6 @@ class ProductDecomposition:
                 f"decomposition normalization identity off by {norm2 - 1.0:.3e}"
             )
 
-    @property
-    def overlaps(self) -> tuple[float, float, float]:
-        return (self.sa, self.sb, self.sc)
-
 
 def _kron3(u, v, w) -> np.ndarray:
     return np.einsum("i,j,k->ijk", u, v, w).reshape(8)
@@ -165,7 +161,9 @@ def _homogeneous_roots(q2: complex, q1: complex, q0: complex):
 
     Each root has the two algebraically equivalent representations
     (-q1 +- sq, 2 q2) and (2 q0, -q1 -+ sq); the larger one is kept, which
-    also covers roots at infinity.
+    also covers roots at infinity.  Both are zero only if q2 = q1 = q0 = 0
+    exactly, a quadratic ``classification_evidence`` has already refused
+    as vanishing, so the kept one is never zero.
     """
     sq = np.sqrt(complex(q1 * q1 - 4.0 * q2 * q0))
     roots = []
@@ -173,10 +171,7 @@ def _homogeneous_roots(q2: complex, q1: complex, q0: complex):
         cand_a = np.array([-q1 + sign * sq, 2.0 * q2])
         cand_b = np.array([2.0 * q0, -q1 - sign * sq])
         r = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-        n = np.linalg.norm(r)
-        if n == 0.0:
-            return None
-        roots.append(r / n)
+        roots.append(r / np.linalg.norm(r))
     return roots[0], roots[1]
 
 
@@ -195,7 +190,7 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     decided), "product_vectors" (2, 1 or None accordingly) and "roots"
     (the two unit projective roots (s, t) of the quadratic, which
     ``decompose`` turns into the product vectors; None when the rank tests
-    decided, or when the quadratic has no nonzero root vector).
+    decided).
 
     Local ranks separate product and biseparable states; genuinely
     tripartite states are split into GHZ/W class by counting product
@@ -203,17 +198,18 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ranks = {p: numeric_rank(reduced_density(state, p), tol) for p in ("A", "B", "C")}
 
-    def decided(cls, ranks):
+    def by_ranks(cut):   # the class is None when the ranks do not decide it
+        ranks = {p: numeric_rank(reduced_density(state, p), cut) for p in ("A", "B", "C")}
+        pure = [p for p, r in ranks.items() if r == 1]
+        cls = (EntanglementClass.FULLY_PRODUCT if len(pure) >= 2
+               else _BISEP[pure[0]] if pure else None)
         return {"class": cls, "ranks": ranks, "root_separation": None,
                 "product_vectors": None, "roots": None}
 
-    pure = [p for p, r in ranks.items() if r == 1]
-    if len(pure) >= 2:
-        return decided(EntanglementClass.FULLY_PRODUCT, ranks)
-    if len(pure) == 1:
-        return decided(_BISEP[pure[0]], ranks)
+    ev = by_ranks(tol)
+    if ev["class"] is not None:
+        return ev
 
     w0, w1 = state.amps[:4], state.amps[4:]
     q2, q1, q0 = _quadratic_coeffs(w0, w1)
@@ -221,23 +217,19 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     if max(abs(q2), abs(q1), abs(q0)) <= 1e-13 * scale:
         # every range vector would be a product vector; that forces a local
         # rank of 1, so retry the rank tests with a coarser cut before failing
-        coarse = max(tol * 1e3, 1e-7)
-        ranks = {p: numeric_rank(reduced_density(state, p), coarse) for p in ("A", "B", "C")}
-        pure = [p for p, r in ranks.items() if r == 1]
-        if len(pure) >= 2:
-            return decided(EntanglementClass.FULLY_PRODUCT, ranks)
-        if len(pure) == 1:
-            return decided(_BISEP[pure[0]], ranks)
+        coarse = by_ranks(max(tol * 1e3, 1e-7))
+        if coarse["class"] is not None:
+            return coarse
         raise DegenerateQuadraticError(
             "product-vector quadratic vanishes but all local ranks are 2"
         )
     roots = _homogeneous_roots(q2, q1, q0)
-    sep = 0.0 if roots is None else _projective_distance_sq(*roots)
+    sep = _projective_distance_sq(*roots)
     if sep < DOUBLE_ROOT_TOL:
         cls, nvec = EntanglementClass.W_CLASS, 1
     else:
         cls, nvec = EntanglementClass.GHZ_CLASS, 2
-    return {"class": cls, "ranks": ranks, "root_separation": sep,
+    return {"class": cls, "ranks": ev["ranks"], "root_separation": sep,
             "product_vectors": nvec, "roots": roots}
 
 
@@ -306,14 +298,10 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     if np.linalg.norm(basis @ sol - state.amps) > 1e-8:
         raise IllConditionedError("could not express the state in its product-vector pair")
 
-    terms = [
-        {"coef": 1.0 + 0.0j, "a": sol[0:2].copy(), "b": b1.copy(), "c": c1.copy()},
-        {"coef": 1.0 + 0.0j, "a": sol[2:4].copy(), "b": b2.copy(), "c": c2.copy()},
-    ]
-    for t in terms:
-        m = np.linalg.norm(t["a"])
-        t["coef"] = m
-        t["a"] = t["a"] / m
+    terms = []
+    for a, b, c in ((sol[0:2], b1, c1), (sol[2:4], b2, c2)):
+        m = np.linalg.norm(a)
+        terms.append({"coef": m, "a": a / m, "b": b, "c": c})
 
     w1_, w2_ = abs(terms[0]["coef"]), abs(terms[1]["coef"])
     if w2_ > w1_ + _TIE_TOL:

@@ -41,7 +41,8 @@ class NonPositiveXError(GhzDistillError, ValueError):
 
 
 class PreconditionViolatedError(GhzDistillError, ValueError):
-    """Closed-form expression used outside the family it is valid for."""
+    """Argument outside the operation's domain: a closed form outside its
+    family, or a caller's POVM that is not complete or not a contraction."""
 
 
 class InfeasibleXError(GhzDistillError, ValueError):

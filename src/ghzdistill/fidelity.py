@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError
-from .tensor import State3Q, ghz_state
+from .tensor import State3Q, fidelity_with, ghz_state
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _SQRT_HALF = np.sqrt(0.5)
@@ -56,7 +56,7 @@ class LocalUnitaryTriple:
 
 def ghz_fidelity(state: State3Q) -> float:
     """|<GHZ|psi>|^2 without any rotation."""
-    return float(abs(np.vdot(ghz_state().amps, state.amps)) ** 2)
+    return fidelity_with(ghz_state(), state)
 
 
 def su2(angles) -> np.ndarray:
@@ -82,40 +82,30 @@ def zyz_angles(u: np.ndarray) -> np.ndarray:
     return np.stack([s - d, b, -s - d], axis=-1)
 
 
-def _su2_with_derivatives(angles) -> tuple[np.ndarray, list[np.ndarray]]:
-    a, b, c = angles
-    u = su2(angles)
-    du_a = -0.5j * _SZ @ u
-    du_b = 0.5 * su2((a, b + np.pi, c))     # d Ry(b)/db = Ry(b + pi)/2
-    du_c = u @ (-0.5j * _SZ)
-    return u, [du_a, du_b, du_c]
-
-
-def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    """F(theta) and dF/dtheta for the 9-angle objective."""
-    mats, derivs = [], []
-    for p in range(3):
-        u, du = _su2_with_derivatives(theta[3 * p: 3 * p + 3])
-        mats.append(u)
-        derivs.append(du)
-    t = np.einsum("ij,kl,mn,jln->ikm", mats[0], mats[1], mats[2], psi)
-    o = (t[0, 0, 0] + t[1, 1, 1]) / np.sqrt(2.0)
-    grad = np.empty(9)
-    for p in range(3):
-        for k in range(3):
-            ops = list(mats)
-            ops[p] = derivs[p][k]
-            td = np.einsum("ij,kl,mn,jln->ikm", ops[0], ops[1], ops[2], psi)
-            do = (td[0, 0, 0] + td[1, 1, 1]) / np.sqrt(2.0)
-            grad[3 * p + k] = 2.0 * np.real(np.conj(o) * do)
-    return float(abs(o) ** 2), grad
-
-
 def _environment(u1: np.ndarray, u2: np.ndarray, psi_p: np.ndarray) -> np.ndarray:
     """Environment matrices E of the party whose axis leads psi_p, given
     the stacks u1, u2 of the other two parties' unitaries (in axis order):
     the GHZ overlap is tr(U E) for that party's unitary U."""
     return np.einsum("rik,rim,jkm->rji", u1, u2, psi_p) * _SQRT_HALF
+
+
+def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    """F(theta) and dF/dtheta for the 9-angle objective.
+
+    The overlap is o = tr(U_p E_p) for each party p, so its derivative in
+    p's angles (a, b, c) is tr(dU_p E_p), with dU/da = -i/2 Z U,
+    dU/db = su2((a, b + pi, c))/2 and dU/dc = -i/2 U Z.
+    """
+    ang = np.asarray(theta, dtype=np.float64).reshape(3, 3)
+    u = su2(ang)      # slices u[p:p + 1] are the stacks of one that _environment takes
+    env = np.concatenate([_environment(u[1:2], u[2:3], psi),
+                          _environment(u[0:1], u[2:3], psi.transpose(1, 0, 2)),
+                          _environment(u[0:1], u[1:2], psi.transpose(2, 0, 1))])
+    du = np.stack([-0.5j * _SZ @ u, 0.5 * su2(ang + [0.0, np.pi, 0.0]), -0.5j * u @ _SZ],
+                  axis=1)
+    o = np.trace(u[0] @ env[0])
+    do = np.einsum("pkij,pji->pk", du, env)
+    return float(abs(o) ** 2), (2.0 * np.real(np.conj(o) * do)).ravel()
 
 
 def _polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +161,8 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
     """Best fidelity over random product rotations; a stochastic lower
     bound on optimal_lu_fidelity used as an independent cross-check.
 
-    Only the images of the local basis matter, so the search draws Haar
-    unit vectors u, v, w per party and evaluates
-    |<GHZ| (u x v x w by columns) |psi>|^2 fully vectorized.
+    The search draws Haar unitaries per party and evaluates
+    |tr(U_A E_A)|^2 with Alice's environment E_A, fully vectorized.
     """
     rng = np.random.default_rng(seed)
     psi = state.tensor
@@ -189,7 +178,6 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
             q, r = np.linalg.qr(z)
             d = np.diagonal(r, axis1=1, axis2=2)
             cols.append(q * (d / np.abs(d)).conj()[:, np.newaxis, :])
-        t = np.einsum("sij,skl,smn,jln->sikm", cols[0], cols[1], cols[2], psi)
-        f = np.abs((t[:, 0, 0, 0] + t[:, 1, 1, 1]) / np.sqrt(2.0)) ** 2
+        f = np.abs(np.einsum("sij,sji->s", cols[0], _environment(cols[1], cols[2], psi))) ** 2
         best = max(best, float(f.max()))
     return best

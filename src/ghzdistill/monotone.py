@@ -28,8 +28,8 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .sampling import crandn
-from .simulate import _check_pair, _ops_for
-from .solver import optimal_probability_value
+from .simulate import _ops_for
+from .solver import _COMPLETE_TOL, _completeness_residual, optimal_probability_value
 from .tensor import State3Q, apply_local, normalize
 
 _NEGLIGIBLE_BRANCH = 1e-18
@@ -57,7 +57,7 @@ def complete_pair(n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     ev, vec = np.linalg.eigh(np.eye(2) - n1.conj().T @ n1)
     if ev[0] < -1e-12:
-        raise ValueError("operator is not a contraction; no completion exists")
+        raise PreconditionViolatedError("operator is not a contraction; no completion exists")
     n2 = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.conj().T
     return n1, n2
 
@@ -101,7 +101,8 @@ def audit_povm(state: State3Q, povm_pair, party: str,
     an ill-conditioned branch decomposition aborts the audit.
     """
     m0, m1 = povm_pair
-    _check_pair(m0, m1)
+    if not _completeness_residual(m0, m1) <= _COMPLETE_TOL:
+        raise PreconditionViolatedError(f"POVM pair is not complete within {_COMPLETE_TOL}")
     if p_before is None:
         p_before = optimal_probability_value(decompose(state))
     branches = (_branch(state, m0, party), _branch(state, m1, party))

@@ -26,9 +26,9 @@ def haar_local_vector(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-    z = crandn(rng, (dim, dim))
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary via QR of a Ginibre matrix with phase fixing."""
+    z = crandn(rng, (2, 2))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d)).conj()

@@ -45,12 +45,6 @@ class SimulationReport:
             raise InvariantViolationError("mean fidelity outside [0, 1]")
 
 
-def _check_pair(m0: np.ndarray, m1: np.ndarray) -> None:
-    comp = m0.conj().T @ m0 + m1.conj().T @ m1
-    if np.max(np.abs(comp - _EYE)) > 1e-10:
-        raise ValueError("POVM pair is not complete within 1e-10")
-
-
 def _ops_for(party: str, op: np.ndarray) -> list[np.ndarray]:
     ops = [_EYE, _EYE, _EYE]
     ops[_PARTY_SLOT[party]] = op

@@ -71,6 +71,16 @@ class OsbpSolution:
                 self.gamma1, self.gamma2)
 
 
+_COMPLETE_TOL = 1e-10
+
+
+def _completeness_residual(m: np.ndarray, m_bar: np.ndarray) -> float:
+    """Largest entry modulus of M^dag M + M_bar^dag M_bar - I; NaN for a
+    NaN entry, which a check written ``not residual <= tol`` rejects."""
+    comp = m.conj().T @ m + m_bar.conj().T @ m_bar
+    return float(np.max(np.abs(comp - np.eye(2))))
+
+
 @dataclass(frozen=True)
 class PovmTriple:
     """Two-outcome local POVMs {M, M_bar} for each of the three parties."""
@@ -86,12 +96,15 @@ class PovmTriple:
         for name in ("success_a", "failure_a", "success_b", "failure_b",
                      "success_c", "failure_c"):
             m = np.array(getattr(self, name), dtype=np.complex128).reshape(2, 2)
+            if not np.all(np.isfinite(m)):
+                raise InvariantViolationError(f"{name} has a non-finite entry")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
         for succ, fail, party in self.pairs():
-            comp = succ.conj().T @ succ + fail.conj().T @ fail
-            if np.max(np.abs(comp - np.eye(2))) > 1e-10:
-                raise InvariantViolationError(f"POVM pair for {party} is not complete")
+            r = _completeness_residual(succ, fail)
+            if not r <= _COMPLETE_TOL:
+                raise InvariantViolationError(
+                    f"POVM pair for {party} is not complete (residual {r:.3g})")
             sv = np.linalg.svd(fail, compute_uv=False)
             if sv[1] > 1e-8 * sv[0]:
                 raise InvariantViolationError(
@@ -365,55 +378,41 @@ def _balanced_pair(rho, s: float):
     return rho * k2, k2
 
 
-def _rank1_sqrt(h: np.ndarray) -> np.ndarray:
-    """sqrt(l) f f^dag for the largest eigenpair (l, f) of the PSD matrix h:
-    its square root with the smaller eigenvalue set to zero."""
-    ev, vec = np.linalg.eigh(h)
-    if ev[0] < -1e-10:
-        raise InvariantViolationError(f"failure operator square has eigenvalue {ev[0]!r}")
-    # h = I - S^dag S has its eigenvalues in [0, 1]: clear residue below 1e-12
-    # so F is exactly 0 where the completion vanishes (a zero-overlap site
-    # with the trivial pair).  The completion constraint makes the smaller
-    # eigenvalue exactly zero; near W its residue grows like eps/(1 - s^2),
-    # past any fixed clamp, so drop it outright to keep F rank 1
-    ev = np.where(ev > 1e-12, ev, 0.0)
-    ev[0] = 0.0
-    return (vec * np.sqrt(ev)) @ vec.conj().T
-
-
 def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
     """Explicit two-outcome POVMs realizing the optimal branch.
 
-    Success operators map the (generally non-orthogonal) local pairs onto
-    |0>, |1> through the biorthogonal basis; failure operators are the
-    rank-1 square roots of the completions (identically zero in the fully
-    orthogonal balanced case, where nobody needs to filter).  Applying the success triple to the decomposed state is
-    verified here to give the GHZ state at probability p_opt.
+    Success operators S map the (generally non-orthogonal) local pairs
+    onto |0>, |1> through the dual basis (t1, t2).  That basis resolves
+    I = t1 t1^dag + t2 t2^dag + s (t1 t2^dag + t2 t1^dag), so on the curve
+    (1 - k1^2)(1 - k2^2) = s^2 the completion I - S^dag S is f f^dag with
+    f = sqrt(1 - k1^2) t1 + sqrt(1 - k2^2) t2, and the failure operator is
+    its square root F = f f^dag / |f|, rank 1 by construction; F = 0 when
+    |f|^2 <= 1e-12 (a zero-overlap site with the trivial pair).  The
+    success triple is verified to give GHZ at probability p_opt.
     """
-    ops = {}
-    for site, (v1, v2, k1, k2, phase) in {
-        "a": (d.a1, d.a2, sol.alpha1, sol.alpha2, sol.phase_a),
-        "b": (d.b1, d.b2, sol.beta1, sol.beta2, sol.phase_b),
-        "c": (d.c1, d.c2, sol.gamma1, sol.gamma2, sol.phase_c),
-    }.items():
+    ops = []
+    for v1, v2, s, k1, k2, phase in (
+            (d.a1, d.a2, d.sa, sol.alpha1, sol.alpha2, sol.phase_a),
+            (d.b1, d.b2, d.sb, sol.beta1, sol.beta2, sol.phase_b),
+            (d.c1, d.c2, d.sc, sol.gamma1, sol.gamma2, sol.phase_c)):
         t1, t2 = dual_basis(v1, v2)
-        succ = np.zeros((2, 2), dtype=np.complex128)
-        succ[0, :] = k1 * t1.conj()
-        succ[1, :] = k2 * np.exp(1j * phase) * t2.conj()
-        comp = np.eye(2) - succ.conj().T @ succ
-        ops[site] = (succ, _rank1_sqrt(comp))
-
-    triple = PovmTriple(
-        success_a=ops["a"][0], failure_a=ops["a"][1],
-        success_b=ops["b"][0], failure_b=ops["b"][1],
-        success_c=ops["c"][0], failure_c=ops["c"][1],
-    )
+        succ = np.array([k1 * t1.conj(), k2 * np.exp(1j * phase) * t2.conj()])
+        # the k are <= 1 only up to rounding; the roots multiply to s, so the
+        # smaller is s over the larger (its 1 - k^2 can round to 0, s cannot)
+        e1, e2 = max(1.0 - k1 * k1, 0.0), max(1.0 - k2 * k2, 0.0)
+        big = np.sqrt(max(e1, e2))
+        small = s / big if big > 0.0 else 0.0
+        f = big * t1 + small * t2 if e1 >= e2 else small * t1 + big * t2
+        f2 = float(np.vdot(f, f).real)
+        ops += [succ, np.outer(f, f.conj()) / np.sqrt(f2) if f2 > 1e-12 else np.zeros((2, 2))]
+    triple = PovmTriple(*ops)
 
     raw, p = apply_local(reconstruct(d), triple.success_a, triple.success_b,
                          triple.success_c)
-    if fidelity_with(normalize(raw), ghz_state()) < 1.0 - 1e-10:
+    # written so that a NaN fails them
+    if not fidelity_with(normalize(raw), ghz_state()) >= 1.0 - 1e-10:
         raise InvariantViolationError("success branch does not produce the GHZ state")
-    if abs(p - sol.p_opt) > 1e-8:
+    if not abs(p - sol.p_opt) <= 1e-8:
         raise InvariantViolationError(
             f"success branch probability {p!r} disagrees with p_opt {sol.p_opt!r}"
         )

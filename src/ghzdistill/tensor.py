@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InvariantViolationError, ZeroVectorError
 
-PARTIES = ("A", "B", "C")
 _AXIS = {"A": 0, "B": 1, "C": 2}
 
 NORM_ATOL = 1e-12

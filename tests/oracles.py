@@ -10,8 +10,14 @@ against.  No code in ``ghzdistill`` calls them.
 import numpy as np
 
 from ghzdistill.decomposition import ProductDecomposition
-from ghzdistill.simulate import _check_pair, _effective_threshold, _ops_for
-from ghzdistill.solver import _ZERO_OVERLAP, _balanced_pair, _smaller_balance_root
+from ghzdistill.simulate import _effective_threshold, _ops_for
+from ghzdistill.solver import (
+    _COMPLETE_TOL,
+    _ZERO_OVERLAP,
+    _balanced_pair,
+    _completeness_residual,
+    _smaller_balance_root,
+)
 from ghzdistill.tensor import State3Q, apply_local, normalize
 
 _INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
@@ -165,7 +171,8 @@ def sample_branch(state: State3Q, povm_pair, party: str, rng) -> tuple[int, Stat
     probability of the sampled outcome).
     """
     m0, m1 = povm_pair
-    _check_pair(m0, m1)
+    if not _completeness_residual(m0, m1) <= _COMPLETE_TOL:
+        raise ValueError(f"POVM pair is not complete within {_COMPLETE_TOL}")
     raw0, p0 = apply_local(state, *_ops_for(party, m0))
     outcome = 0 if rng.random() < _effective_threshold(p0) else 1
     if outcome == 0:

@@ -29,6 +29,11 @@ def test_complete_pair_trivial_members():
     np.testing.assert_allclose(n2, np.diag([0.0, 1.0]), atol=1e-12)
 
 
+def test_complete_pair_rejects_a_non_contraction():
+    with pytest.raises(PreconditionViolatedError):
+        complete_pair(2.0 * _EYE)
+
+
 def test_random_pair_complete_for_any_seed():
     for seed in range(25):
         n1, n2 = random_povm_pair(seed)
@@ -58,6 +63,12 @@ def test_projective_povm_on_ghz_destroys_everything():
     assert rep.weighted_after == pytest.approx(0.0, abs=1e-12)
     assert rep.slack == pytest.approx(1.0, abs=1e-10)
     assert [b.label for b in rep.branches] == ["FullyProduct", "FullyProduct"]
+
+
+def test_audit_rejects_an_incomplete_pair():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(PreconditionViolatedError):
+        audit_povm(ghz_state(), (p0, p0), "A")
 
 
 def test_branch_probabilities_sum_to_one():

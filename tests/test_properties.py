@@ -1,0 +1,84 @@
+"""Property tests at the class boundaries: near W, near product, mu1 = mu2
+ties and vanishing overlaps.  Every input either ends in a typed
+GhzDistillError or yields POVMs that pass their postconditions."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghzdistill import (
+    apply_local,
+    basis_state,
+    build_povms,
+    decompose,
+    dual_basis,
+    ghz_state,
+    normalize,
+    optimal_probability,
+    reconstruct,
+    w_state,
+)
+from ghzdistill.errors import GhzDistillError
+from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
+from ghzdistill.tensor import fidelity_with
+from helpers import make_decomposition
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=75)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def in_random_frame(state, seed):
+    return apply_local_unitaries(state, *random_local_unitaries(np.random.default_rng(seed)))
+
+
+def check_pipeline(state, tol=1e-10, must_distill=False):
+    """Distill ``state``; a typed refusal passes unless ``must_distill``."""
+    try:
+        d = decompose(state, tol)
+        sol = optimal_probability(d)
+        povms = build_povms(d, sol)
+    except GhzDistillError:
+        assert not must_distill
+        return
+    raw, p = apply_local(state, povms.success_a, povms.success_b, povms.success_c)
+    assert abs(p - sol.p_opt) <= 1e-8
+    assert fidelity_with(normalize(raw), ghz_state()) >= 1.0 - 1e-9
+    for (succ, fail, _), (v1, v2) in zip(povms.pairs(),
+                                         ((d.a1, d.a2), (d.b1, d.b2), (d.c1, d.c2))):
+        assert np.max(np.abs(fail - fail.conj().T)) <= 1e-15
+        assert np.linalg.eigvalsh(fail)[0] >= -1e-12
+        # I - S^dag S is assembled from the dual basis, whose length (1 for
+        # an orthonormal pair, ~1/(1 - s^2) near W) scales its rounding
+        t1, t2 = dual_basis(v1, v2)
+        scale = max(np.vdot(t1, t1).real, np.vdot(t2, t2).real)
+        completion = np.eye(2) - succ.conj().T @ succ
+        assert np.max(np.abs(fail @ fail - completion)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(k=st.floats(1.0, 8.0), added=st.sampled_from(["ghz", "111"]), seed=SEEDS)
+def test_near_w_distills_or_refuses(k, added, seed):
+    extra = ghz_state().amps if added == "ghz" else basis_state("111").amps
+    state = in_random_frame(normalize(w_state().amps + 10.0 ** -k * extra), seed)
+    check_pipeline(state, must_distill=k <= 3.0)
+
+
+@PROPERTY
+@given(k=st.floats(1.0, 9.0), tol=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8]), seed=SEEDS)
+def test_near_product_distills_or_refuses_at_every_tol(k, tol, seed):
+    # in a random frame the decomposed overlaps are rounding residue, not 0
+    state = normalize(basis_state("000").amps + 10.0 ** -k * basis_state("111").amps)
+    check_pipeline(in_random_frame(state, seed), tol, must_distill=k <= 3.0)
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_equal_weights_distill(seed):
+    d = make_decomposition(np.random.default_rng(seed), mu1_sq=0.5)
+    check_pipeline(in_random_frame(reconstruct(d), seed), must_distill=True)
+
+
+@PROPERTY
+@given(pinned=st.sets(st.sampled_from(["sa", "sb", "sc"]), min_size=1), seed=SEEDS)
+def test_zero_overlaps_distill(pinned, seed):
+    d = make_decomposition(np.random.default_rng(seed), **{s: 0.0 for s in pinned})
+    check_pipeline(in_random_frame(reconstruct(d), seed), must_distill=True)

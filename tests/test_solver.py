@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzdistill import (
+    PovmTriple,
     apply_local,
     basis_state,
     build_povms,
@@ -19,7 +20,11 @@ from ghzdistill import (
     reduced_density,
     w_state,
 )
-from ghzdistill.errors import NonPositiveXError, PreconditionViolatedError
+from ghzdistill.errors import (
+    InvariantViolationError,
+    NonPositiveXError,
+    PreconditionViolatedError,
+)
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import X_HI, X_LO, _objective, _rising
 from ghzdistill.tensor import fidelity_with
@@ -374,6 +379,16 @@ def test_povms_psi_b_claire_operator():
     assert_allclose(t.success_b, np.eye(2), atol=1e-10)
     expected_c = np.sqrt(0.4) * np.array([[1.0, -0.75], [0.0, 1.25]])
     assert_allclose(t.success_c, expected_c, atol=1e-10)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_povm_triple_rejects_nan_operators(slot):
+    # NaN fails no "residual > tol" comparison, so the checks must be
+    # written to reject it before the rank test's SVD sees it
+    ops = [np.eye(2), np.zeros((2, 2))] * 3
+    ops[slot] = np.full((2, 2), np.nan)
+    with pytest.raises(InvariantViolationError):
+        PovmTriple(*ops)
 
 
 def test_povms_completeness_and_rank1_random():

@@ -190,7 +190,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
         if d.sa > 1e-10:
             raise CliError(EXIT_PARSE,
                            "diagonal scan needs an orthogonal Alice pair (sa = 0)")
-        table = scan_diagonal_family(state, args.diagonal_scan, d)
+        table = scan_diagonal_family(state, args.diagonal_scan, d, tol=args.tol)
         i_min = int(np.argmin(table[:, 1]))
         return {
             "p_before": p_before,
@@ -208,7 +208,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
         slacks = []
         for k in range(args.povms):
             pair = random_povm_pair(np.random.SeedSequence([args.seed, idx, k]))
-            rep = audit_povm(state, pair, party, p_before=p_before)
+            rep = audit_povm(state, pair, party, p_before=p_before, tol=args.tol)
             slacks.append(rep.slack)
         per_party[party] = {"min_slack": min(slacks),
                             "mean_slack": float(np.mean(slacks))}

@@ -36,7 +36,7 @@ from .errors import (
     NotGHZClassError,
     ParallelVectorsError,
 )
-from .tensor import State3Q, normalize, numeric_rank, reduced_density
+from .tensor import State3Q, local_spectra, normalize, spectral_ranks
 
 # squared chordal distance of the projective roots below this -> W class;
 # the quadratic scale makes the label stable under 1e-13 amplitude noise,
@@ -44,6 +44,10 @@ from .tensor import State3Q, normalize, numeric_rank, reduced_density
 DOUBLE_ROOT_TOL = 1e-8
 PRODUCT_ANGLE_TOL = 1e-8    # product vectors closer than this in angle -> ill-conditioned
 _TIE_TOL = 1e-12
+# stored overlaps must match their vectors' to what build_povms can use: its
+# failure operator is exact for the stored overlap, and the completeness
+# check allows 1e-10
+_OVERLAP_TOL = 1e-11
 
 
 class EntanglementClass(Enum):
@@ -81,7 +85,7 @@ class ProductDecomposition:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "c1", "c2"):
-            v = np.array(getattr(self, name), dtype=np.complex128).reshape(2)
+            v = np.array(np.reshape(getattr(self, name), 2), dtype=np.complex128)
             if abs(np.linalg.norm(v) - 1.0) > 1e-10:
                 raise InvariantViolationError(f"local vector {name} is not unit norm")
             v.flags.writeable = False
@@ -103,7 +107,7 @@ class ProductDecomposition:
             np.vdot(self.c1, self.c2),
         )
         for s, o, name in zip(stored, actual, ("sa", "sb", "sc")):
-            if abs(o - s) > 1e-9:
+            if abs(o - s) > _OVERLAP_TOL:
                 raise InvariantViolationError(
                     f"stored overlap {name}={s!r} disagrees with vectors ({o!r})"
                 )
@@ -199,8 +203,10 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    spectra = local_spectra(state)
+
     def by_ranks(cut):   # the class is None when the ranks do not decide it
-        ranks = {p: numeric_rank(reduced_density(state, p), cut) for p in ("A", "B", "C")}
+        ranks = dict(zip("ABC", spectral_ranks(spectra, cut).tolist()))
         pure = [p for p, r in ranks.items() if r == 1]
         cls = (EntanglementClass.FULLY_PRODUCT if len(pure) >= 2
                else _BISEP[pure[0]] if pure else None)
@@ -238,14 +244,15 @@ def classify(state: State3Q, tol: float = 1e-10) -> EntanglementClass:
     return classification_evidence(state, tol)["class"]
 
 
-def _rank1_factor(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors (b, c) with v = const * b (x) c, for a rank-1 v (4,).
+def _rank1_factors(p1: np.ndarray, p2: np.ndarray):
+    """Unit vectors ((b1, c1), (b2, c2)) with p_k = const * b_k (x) c_k, for
+    rank-1 p1, p2 (4,), from one SVD of the stacked 2x2 reshapes.
 
     The reshaped matrix is V[i, j] = b[i] * c[j] (no conjugation), so the
     second factor is the leading right-singular row itself.
     """
-    u, s, vh = np.linalg.svd(v.reshape(2, 2))
-    return u[:, 0], vh[0, :]
+    u, _, vh = np.linalg.svd(np.stack([p1, p2]).reshape(2, 2, 2))
+    return (u[0, :, 0], vh[0, 0, :]), (u[1, :, 0], vh[1, 0, :])
 
 
 def _fix_phase_first_component(v: np.ndarray) -> tuple[np.ndarray, complex]:
@@ -285,12 +292,11 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     if np.sqrt(_projective_distance_sq(p1, p2)) < PRODUCT_ANGLE_TOL:
         raise IllConditionedError("product vectors nearly parallel; state too close to W class")
 
-    b1, c1 = _rank1_factor(p1)
-    b2, c2 = _rank1_factor(p2)
+    (b1, c1), (b2, c2) = _rank1_factors(p1, p2)
 
     # psi = a1~ (x) (b1 x c1) + a2~ (x) (b2 x c2): solve the 8x4 linear system
     # for the unnormalized Alice vectors, columns (|0>, |1>) (x) bc1, then bc2.
-    bc1, bc2 = np.kron(b1, c1), np.kron(b2, c2)
+    bc1, bc2 = np.outer(b1, c1).ravel(), np.outer(b2, c2).ravel()
     basis = np.zeros((8, 4), dtype=np.complex128)
     basis[:4, 0] = basis[4:, 1] = bc1
     basis[:4, 2] = basis[4:, 3] = bc2

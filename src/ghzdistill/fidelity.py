@@ -43,11 +43,11 @@ class LocalUnitaryTriple:
     angles: np.ndarray   # shape (3, 3): rows A, B, C
 
     def __post_init__(self):
-        ang = np.array(self.angles, dtype=np.float64).reshape(3, 3)
+        ang = np.array(np.reshape(self.angles, (3, 3)), dtype=np.float64)
         ang.flags.writeable = False
         object.__setattr__(self, "angles", ang)
         for name in ("ua", "ub", "uc"):
-            u = np.array(getattr(self, name), dtype=np.complex128).reshape(2, 2)
+            u = np.array(np.reshape(getattr(self, name), (2, 2)), dtype=np.complex128)
             if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
                 raise InvariantViolationError(f"{name} is not unitary")
             u.flags.writeable = False

@@ -73,18 +73,19 @@ def random_povm_pair(seed) -> tuple[np.ndarray, np.ndarray]:
     return complete_pair(g / np.linalg.svd(g, compute_uv=False)[0] * rng.random())
 
 
-def _branch(state: State3Q, op: np.ndarray, party: str) -> BranchOutcome:
+def _branch(state: State3Q, op: np.ndarray, party: str, tol: float) -> BranchOutcome:
     """Outcome of applying ``op`` to one party.
 
-    The post-measurement state is decomposed once: a GHZ-class outcome is
-    labelled and valued from its decomposition, any other class is taken
-    from the NotGHZClassError and valued 0.  IllConditionedError propagates.
+    The post-measurement state is decomposed once, at rank tolerance
+    ``tol``: a GHZ-class outcome is labelled and valued from its
+    decomposition, any other class is taken from the NotGHZClassError and
+    valued 0.  IllConditionedError propagates.
     """
     raw, p = apply_local(state, *_ops_for(party, op))
     if p < _NEGLIGIBLE_BRANCH:
         return BranchOutcome(probability=p, label="negligible", p_value=0.0)
     try:
-        d = decompose(normalize(raw))
+        d = decompose(normalize(raw), tol)
     except NotGHZClassError as e:
         return BranchOutcome(probability=p, label=e.cls.value, p_value=0.0)
     return BranchOutcome(probability=p, label=EntanglementClass.GHZ_CLASS.value,
@@ -92,20 +93,22 @@ def _branch(state: State3Q, op: np.ndarray, party: str) -> BranchOutcome:
 
 
 def audit_povm(state: State3Q, povm_pair, party: str,
-               p_before: float | None = None) -> MonotoneReport:
+               p_before: float | None = None, tol: float = 1e-10) -> MonotoneReport:
     """Monotone inequality audit for one POVM on one party.
 
     ``p_before`` can be passed in when the caller audits the same state
-    against many POVMs; it is computed from scratch otherwise.  Branches
-    whose outcome is not GHZ class contribute zero to the weighted sum;
-    an ill-conditioned branch decomposition aborts the audit.
+    against many POVMs; it is computed from scratch otherwise.  Every
+    decomposition the audit makes, of the state and of each branch, uses
+    the rank tolerance ``tol``.  Branches whose outcome is not GHZ class
+    contribute zero to the weighted sum; an ill-conditioned branch
+    decomposition aborts the audit.
     """
     m0, m1 = povm_pair
     if not _completeness_residual(m0, m1) <= _COMPLETE_TOL:
         raise PreconditionViolatedError(f"POVM pair is not complete within {_COMPLETE_TOL}")
     if p_before is None:
-        p_before = optimal_probability_value(decompose(state))
-    branches = (_branch(state, m0, party), _branch(state, m1, party))
+        p_before = optimal_probability_value(decompose(state, tol))
+    branches = (_branch(state, m0, party, tol), _branch(state, m1, party, tol))
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-10:
         raise InvariantViolationError(f"branch probabilities sum to {total!r}")
@@ -135,45 +138,48 @@ def _diagonal_pair(d: ProductDecomposition, x: float) -> tuple[np.ndarray, np.nd
 
 def diagonal_family_audit(state: State3Q, x: float,
                           d: ProductDecomposition | None = None,
-                          p_before: float | None = None) -> MonotoneReport:
+                          p_before: float | None = None,
+                          tol: float = 1e-10) -> MonotoneReport:
     """Audit one member of the balanced diagonal family on Alice's side.
 
     Requires a decomposition with sa = 0 (Alice's local pair orthogonal);
     the feasible range of x is [2 mu1^2 - 1, 1], the subset of the nominal
     interval on which all four diagonal squares stay in [0, 1].  Both
     outcomes occur with probability exactly 1/2.  ``d`` and ``p_before``
-    are computed when not given, ``p_before`` from ``d``.
+    are computed when not given, ``p_before`` from ``d``; ``d`` and the
+    branch decompositions use the rank tolerance ``tol``.
     """
     if d is None:
-        d = decompose(state)
+        d = decompose(state, tol)
     if d.sa > 1e-10:
         raise PreconditionViolatedError(
             f"diagonal family needs an orthogonal Alice pair, got sa={d.sa!r}"
         )
     if p_before is None:
         p_before = optimal_probability_value(d)
-    return audit_povm(state, _diagonal_pair(d, x), "A", p_before=p_before)
+    return audit_povm(state, _diagonal_pair(d, x), "A", p_before=p_before, tol=tol)
 
 
 def scan_diagonal_family(state: State3Q, steps: int,
-                         d: ProductDecomposition | None = None) -> np.ndarray:
+                         d: ProductDecomposition | None = None,
+                         tol: float = 1e-10) -> np.ndarray:
     """Sweep the feasible x range uniformly; returns an array of (x, slack).
 
-    ``d`` is the decomposition of ``state`` to scan with (for example one
-    made at a caller's rank tolerance); the state is decomposed at the
-    default tolerance when it is not given.  Like ``diagonal_family_audit``,
-    the scan raises PreconditionViolatedError unless sa = 0.  The slack is
-    nonnegative up to solver tolerance everywhere and reaches zero only
-    around x = mu1^2.
+    ``d`` is the decomposition of ``state`` to scan with; the state is
+    decomposed when it is not given.  That decomposition and every branch
+    decomposition use the rank tolerance ``tol``.  Like
+    ``diagonal_family_audit``, the scan raises PreconditionViolatedError
+    unless sa = 0.  The slack is nonnegative up to solver tolerance
+    everywhere and reaches zero only around x = mu1^2.
     """
     if steps < 3:
         raise ValueError("steps must be >= 3")
     if d is None:
-        d = decompose(state)
+        d = decompose(state, tol)
     p_before = optimal_probability_value(d)
     xs = np.linspace(2.0 * d.mu1 ** 2 - 1.0, 1.0, steps)
     out = np.empty((steps, 2))
     for i, x in enumerate(xs):
-        rep = diagonal_family_audit(state, float(x), d=d, p_before=p_before)
+        rep = diagonal_family_audit(state, float(x), d=d, p_before=p_before, tol=tol)
         out[i] = (x, rep.slack)
     return out

@@ -74,11 +74,17 @@ class OsbpSolution:
 _COMPLETE_TOL = 1e-10
 
 
-def _completeness_residual(m: np.ndarray, m_bar: np.ndarray) -> float:
-    """Largest entry modulus of M^dag M + M_bar^dag M_bar - I; NaN for a
-    NaN entry, which a check written ``not residual <= tol`` rejects."""
-    comp = m.conj().T @ m + m_bar.conj().T @ m_bar
-    return float(np.max(np.abs(comp - np.eye(2))))
+def _completeness_residual(m: np.ndarray, m_bar: np.ndarray):
+    """Largest entry modulus of M^dag M + M_bar^dag M_bar - I, one per pair
+    of a stack of 2x2 pairs (..., 2, 2); NaN for a NaN entry, which a check
+    written ``not residual <= tol`` rejects."""
+    comp = (np.swapaxes(m.conj(), -1, -2) @ m
+            + np.swapaxes(m_bar.conj(), -1, -2) @ m_bar)
+    return np.max(np.abs(comp - np.eye(2)), axis=(-2, -1))
+
+
+_POVM_FIELDS = ("success_a", "failure_a", "success_b", "failure_b",
+                "success_c", "failure_c")
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,24 @@ class PovmTriple:
     failure_c: np.ndarray
 
     def __post_init__(self):
-        for name in ("success_a", "failure_a", "success_b", "failure_b",
-                     "success_c", "failure_c"):
-            m = np.array(getattr(self, name), dtype=np.complex128).reshape(2, 2)
-            if not np.all(np.isfinite(m)):
-                raise InvariantViolationError(f"{name} has a non-finite entry")
+        ops = [np.array(np.reshape(getattr(self, name), (2, 2)), dtype=np.complex128)
+               for name in _POVM_FIELDS]
+        # the three pairs are checked as one stack, in the order A, B, C and
+        # completeness before rank within a party
+        stack = np.stack(ops)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise InvariantViolationError(
+                f"{_POVM_FIELDS[finite.argmin()]} has a non-finite entry")
+        for name, m in zip(_POVM_FIELDS, ops):
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        for succ, fail, party in self.pairs():
-            r = _completeness_residual(succ, fail)
+        residuals = _completeness_residual(stack[0::2], stack[1::2])
+        singular_values = np.linalg.svd(stack[1::2], compute_uv=False)
+        for r, sv, party in zip(residuals, singular_values, "ABC"):
             if not r <= _COMPLETE_TOL:
                 raise InvariantViolationError(
                     f"POVM pair for {party} is not complete (residual {r:.3g})")
-            sv = np.linalg.svd(fail, compute_uv=False)
             if sv[1] > 1e-8 * sv[0]:
                 raise InvariantViolationError(
                     f"failure operator for {party} has rank 2 (singular values {sv})"

@@ -25,7 +25,8 @@ class State3Q:
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amps, dtype=np.complex128).reshape(8)
+        # one owned array, not a view of a private copy
+        a = np.array(np.reshape(self.amps, 8), dtype=np.complex128)
         n2 = float(np.sum(np.abs(a) ** 2))
         if abs(n2 - 1.0) > NORM_ATOL:
             raise InvariantViolationError(
@@ -99,15 +100,34 @@ def reduced_density(state: State3Q, parties) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
+def local_spectra(state: State3Q) -> np.ndarray:
+    """Ascending eigenvalues of the single-party reductions of A, B and C,
+    shape (3, 2).
+
+    Each reduction is the Gram matrix U U^dag of the party's (2, 4)
+    unfolding U of the tensor (the party's axis first, the other two in
+    order), the same product ``reduced_density`` forms, so the eigenvalues
+    have the same bits (an einsum Gram would change them); the three Grams
+    are formed and diagonalized as one stack.
+    """
+    psi = state.tensor
+    u = np.stack([psi, psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)]).reshape(3, 2, 4)
+    return np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1))
+
+
+def spectral_ranks(ev: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks of Hermitian PSD matrices from their ascending eigenvalues
+    (last axis): the count of eigenvalues above tol * (largest), and 0
+    where the largest is <= 0."""
+    top = ev[..., -1:]
+    return np.where(top[..., 0] > 0.0, np.count_nonzero(ev > tol * top, axis=-1), 0)
+
+
 def numeric_rank(m: np.ndarray, tol: float = 1e-10) -> int:
     """Number of eigenvalues above tol * (largest eigenvalue)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ev = np.linalg.eigvalsh(m)
-    top = float(ev[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.sum(ev > tol * top))
+    return int(spectral_ranks(np.linalg.eigvalsh(m), tol))
 
 
 def apply_local(state: State3Q, op_a: np.ndarray, op_b: np.ndarray,

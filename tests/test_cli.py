@@ -274,6 +274,22 @@ def test_audit_diagonal_scan_decomposes_at_tol(capsys, tmp_path):
     assert rc == 4 and "FullyProduct" in err
 
 
+def test_audit_random_povms_value_branches_at_tol(capsys, tmp_path):
+    # |000> + 1e-6|111>: fully product at the default rank tolerance, GHZ
+    # class at --tol 1e-14, and so are the branches of the random POVMs, so
+    # each audit values them (at the default tol every branch counted 0 and
+    # each slack equalled p_before)
+    amps = np.zeros(8)
+    amps[0], amps[7] = 1.0, 1e-6
+    path = write_state(tmp_path / "near_product.json", amps)
+    rc, doc, err = run_cli(capsys, ["audit", path, "--tol", "1e-14", "--povms", "3"])
+    assert rc == 0, err
+    res = doc["result"]
+    assert res["p_before"] > 0.0
+    for party in "ABC":
+        assert res["per_party"][party]["mean_slack"] < 0.5 * res["p_before"]
+
+
 def test_audit_w_exits_4(capsys, w_file):
     rc, _, _ = run_cli(capsys, ["audit", w_file, "--povms", "1"])
     assert rc == 4

@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ghzdistill import (
     EntanglementClass,
+    build_povms,
     classification_evidence,
     classify,
     decompose,
     dual_basis,
     ghz_state,
     normalize,
+    numeric_rank,
+    optimal_probability,
     reconstruct,
+    reduced_density,
     w_state,
 )
 from ghzdistill import decomposition
@@ -19,7 +25,7 @@ from ghzdistill.errors import (
     NotGHZClassError,
     ParallelVectorsError,
 )
-from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
+from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_unitaries
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
 
@@ -135,6 +141,35 @@ def test_evidence_roots_only_when_the_quadratic_decides():
         assert np.linalg.norm(r2) == pytest.approx(1.0, abs=1e-15)
 
 
+def _per_party_ranks(state, tol):
+    return {p: numeric_rank(reduced_density(state, p), tol) for p in "ABC"}
+
+
+def test_evidence_ranks_match_per_party_numeric_rank_on_haar_states():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        st = haar_state(rng)
+        for tol in (1e-14, 1e-10):
+            assert classification_evidence(st, tol)["ranks"] == _per_party_ranks(st, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-10, 1e-8])
+def test_evidence_ranks_match_per_party_numeric_rank_on_the_rank_cut(tol):
+    # |000> + 10^-k |111> has eigenvalue ratio ~10^-2k in every reduction, so
+    # for each tol some k sits on the cut, where only equal bits agree
+    rng = np.random.default_rng(22)
+    for k in range(1, 10):
+        amps = np.zeros(8, dtype=complex)
+        amps[0], amps[7] = 1.0, 10.0 ** -k
+        canonical = normalize(amps)
+        for st in (canonical,
+                   *(apply_local_unitaries(canonical, *random_local_unitaries(rng))
+                     for _ in range(4))):
+            ranks = classification_evidence(st, tol)["ranks"]
+            assert ranks == _per_party_ranks(st, tol)
+            assert all(type(r) is int for r in ranks.values())
+
+
 def test_decompose_solves_the_quadratic_once(monkeypatch):
     calls = []
     original = decomposition._homogeneous_roots
@@ -200,6 +235,22 @@ def test_weights_need_a_finite_ratio():
     decomposition.ProductDecomposition(mu2=1e-300, **fields)
     with pytest.raises(InvariantViolationError):
         decomposition.ProductDecomposition(mu2=1e-320, **fields)
+
+
+def test_stored_overlap_must_match_vectors_to_povm_precision():
+    # build_povms makes the failure operator exact for the stored overlap and
+    # checks completeness to 1e-10, which needs the stored and the vectors'
+    # overlaps to agree to about 1e-11; a stored overlap further off is
+    # refused when the decomposition is built
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        d = make_decomposition(rng)
+        for shift in (3e-11, -3e-11):
+            with pytest.raises(InvariantViolationError, match="stored overlap sa"):
+                dataclasses.replace(d, sa=d.sa + shift)
+        for shift in (0.99e-11, -0.99e-11):
+            moved = dataclasses.replace(d, sa=d.sa + shift)
+            build_povms(moved, optimal_probability(moved))
 
 
 def test_decompose_deterministic():

@@ -7,13 +7,15 @@ from ghzdistill import (
     decompose,
     diagonal_family_audit,
     ghz_state,
+    normalize,
     optimal_probability_value,
     random_povm_pair,
     scan_diagonal_family,
 )
 from ghzdistill import decomposition
-from ghzdistill.errors import InfeasibleXError, PreconditionViolatedError
+from ghzdistill.errors import InfeasibleXError, NotGHZClassError, PreconditionViolatedError
 from ghzdistill.monotone import _diagonal_pair
+from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from helpers import make_decomposition, psi_b, random_ghz_state
 from ghzdistill.decomposition import reconstruct
 
@@ -69,6 +71,26 @@ def test_audit_rejects_an_incomplete_pair():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(PreconditionViolatedError):
         audit_povm(ghz_state(), (p0, p0), "A")
+
+
+def test_audit_decomposes_branches_at_tol():
+    # |000> + 1e-6|111> in a random frame is fully product at the default
+    # rank tolerance and GHZ class at 1e-14; so are its branches under an
+    # invertible local POVM, which the audit must value at the same tol
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[7] = 1.0, 1e-6
+    rng = np.random.default_rng(31)
+    st = apply_local_unitaries(normalize(amps), *random_local_unitaries(rng))
+    pair = random_povm_pair(3)
+    p_before = optimal_probability_value(decompose(st, tol=1e-14))
+    for party in "ABC":
+        for rep in (audit_povm(st, pair, party, tol=1e-14),
+                    audit_povm(st, pair, party, p_before=p_before, tol=1e-14)):
+            assert rep.p_before == p_before
+            assert [b.label for b in rep.branches] == ["GHZClass", "GHZClass"]
+            assert all(b.p_value > 0.0 for b in rep.branches)
+    with pytest.raises(NotGHZClassError):
+        audit_povm(st, pair, "A")
 
 
 def test_branch_probabilities_sum_to_one():

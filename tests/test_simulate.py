@@ -134,6 +134,45 @@ def test_run_protocol_matches_sequential_sampling():
     assert successes == rep.successes
 
 
+def _explicit_count(state, triple, u):
+    """Successes by a per-row loop over the uniform block, with the
+    conditional thresholds computed party by party (underflow rule included)."""
+    thresholds, current = [], state
+    for succ, _, party in triple.pairs():
+        ops = [_EYE, _EYE, _EYE]
+        ops["ABC".index(party)] = succ
+        raw, p = apply_local(current, *ops)
+        thresholds.append(0.0 if p < 1e-14 else 1.0 if 1.0 - p < 1e-14 else p)
+        if thresholds[-1] == 0.0:
+            break
+        current = normalize(raw)
+    thresholds += [0.0] * (3 - len(thresholds))
+    count = 0
+    for row in u:
+        count += all(row[j] < thresholds[j] for j in range(3))
+    return count, thresholds
+
+
+def test_run_protocol_count_matches_a_per_row_loop():
+    z = np.zeros((2, 2), dtype=complex)
+    rng = np.random.default_rng(8)
+    cases = [
+        (ghz_state(), identity_triple()),                                # 1, 1, 1
+        (ghz_state(), PovmTriple(_P0, _P1, _EYE, z, _EYE, z)),           # 1/2, 1, 1
+        (basis_state("000"), PovmTriple(_EYE, z, _EYE, z, _P1, _P0)),    # 1, 1, 0
+        (basis_state("111"), PovmTriple(_P0, _P1, _EYE, z, _EYE, z)),    # 0, -, -
+        (psi_b(), optimal_triple(psi_b())),
+        *((st, optimal_triple(st)) for st in (random_ghz_state(rng) for _ in range(3))),
+    ]
+    seen = set()
+    for k, (st, triple) in enumerate(cases):
+        trials, seed = 2000, 100 + k
+        count, thresholds = _explicit_count(st, triple, trial_uniforms(seed, trials))
+        seen.update(thresholds)
+        assert run_protocol(st, triple, trials, seed).successes == count
+    assert {0.0, 1.0} <= seen
+
+
 def test_run_protocol_input_is_complete_by_construction():
     # run_protocol relies on PovmTriple for completeness: an incomplete pair
     # cannot be built, and a built one cannot be changed afterwards

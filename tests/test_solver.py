@@ -391,6 +391,25 @@ def test_povm_triple_rejects_nan_operators(slot):
         PovmTriple(*ops)
 
 
+def test_povm_triple_checks_in_order():
+    # every operator is checked for finite entries first, then the parties
+    # in the order A, B, C, completeness before rank within a party
+    eye, z = np.eye(2), np.zeros((2, 2))
+    half = eye / np.sqrt(2.0)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    nan = np.full((2, 2), np.nan)
+    cases = [
+        ((z, z, eye, nan, eye, z), "failure_b has a non-finite entry"),
+        ((p0, z, eye, z, z, eye), r"POVM pair for A is not complete \(residual 1\)"),
+        ((z, 0.5 * eye, half, half, p0, z), "POVM pair for A is not complete"),
+        ((half, half, p0, z, eye, z), r"failure operator for A has rank 2 \(singular values"),
+        ((eye, z, p0, p1, half, half), "failure operator for C has rank 2"),
+    ]
+    for ops, message in cases:
+        with pytest.raises(InvariantViolationError, match=message):
+            PovmTriple(*ops)
+
+
 def test_povms_completeness_and_rank1_random():
     rng = np.random.default_rng(16)
     for _ in range(10):

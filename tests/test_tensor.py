@@ -3,6 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzdistill import (
+    LocalUnitaryTriple,
+    PovmTriple,
+    ProductDecomposition,
     State3Q,
     apply_local,
     basis_state,
@@ -14,7 +17,12 @@ from ghzdistill import (
     w_state,
 )
 from ghzdistill.errors import InvariantViolationError, ZeroVectorError
-from ghzdistill.sampling import haar_state, haar_unitary
+from ghzdistill.sampling import (
+    haar_local_vector,
+    haar_state,
+    haar_unitary,
+    vector_with_overlap,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -43,6 +51,47 @@ def test_state_amps_read_only():
     st = ghz_state()
     with pytest.raises(ValueError):
         st.amps[0] = 1.0
+
+
+def _held_arrays(obj):
+    return {name: v for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
+
+
+def test_held_results_own_read_only_copies_of_their_arrays():
+    # each array field is one owned, read-only array (base None), not a
+    # view of a private copy, and writing the caller's input later leaves
+    # it unchanged
+    rng = np.random.default_rng(4)
+    a1, b1, c1 = (haar_local_vector(rng) for _ in range(3))
+    vectors = dict(a1=a1, a2=vector_with_overlap(rng, a1, 0.0),
+                   b1=b1, b2=vector_with_overlap(rng, b1, 0.0),
+                   c1=c1, c2=vector_with_overlap(rng, c1, 0.0))
+    eye, z = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    u = haar_unitary(rng)
+    built = [
+        (State3Q, dict(amps=haar_state(rng).amps.copy())),
+        (State3Q, dict(amps=haar_state(rng).amps.reshape(2, 2, 2).copy())),
+        (State3Q, dict(amps=haar_state(rng).amps.tolist())),
+        (ProductDecomposition, dict(mu1=SQ2, mu2=SQ2, phi=0.0, sa=0.0, sb=0.0, sc=0.0,
+                                    **vectors)),
+        (PovmTriple, dict(success_a=eye.copy(), failure_a=z.copy(), success_b=eye.ravel(),
+                          failure_b=z.ravel(), success_c=eye.tolist(), failure_c=z.copy())),
+        (LocalUnitaryTriple, dict(ua=u.copy(), ub=u.ravel(), uc=u.tolist(),
+                                  angles=np.zeros(9))),
+    ]
+    for cls, fields in built:
+        obj = cls(**fields)
+        held = _held_arrays(obj)
+        assert set(held) == {k for k, v in fields.items() if not isinstance(v, float)}
+        before = {k: v.copy() for k, v in held.items()}
+        for name, arr in held.items():
+            assert arr.base is None, (cls.__name__, name)
+            assert not arr.flags.writeable, (cls.__name__, name)
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value[...] = 7.0
+        for name, arr in held.items():
+            assert np.array_equal(arr, before[name]), (cls.__name__, name)
 
 
 def test_reduced_density_ghz_single():

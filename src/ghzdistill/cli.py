@@ -30,6 +30,7 @@ from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
 from .solver import build_povms, optimal_probability, optimal_probability_value
 from .tensor import State3Q, normalize
+from .tolerances import NORM_WARN_TOL, ORTHOGONAL_SITE_TOL, RANK_TOL
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -112,7 +113,7 @@ def load_state(path: str) -> tuple[State3Q, str | None]:
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise CliError(EXIT_INVARIANT, f"{path}: amplitudes must be finite")
     n = float(np.linalg.norm(vec))
-    if abs(n - 1.0) > 1e-6:
+    if abs(n - 1.0) > NORM_WARN_TOL:
         print(f"warning: {path}: state norm {n:.6g} differs from 1; renormalizing",
               file=sys.stderr)
     try:
@@ -187,7 +188,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
     if args.diagonal_scan is not None:
         if args.diagonal_scan < 3:
             raise CliError(EXIT_PARSE, "--diagonal-scan needs at least 3 steps")
-        if d.sa > 1e-10:
+        if d.sa > ORTHOGONAL_SITE_TOL:
             raise CliError(EXIT_PARSE,
                            "diagonal scan needs an orthogonal Alice pair (sa = 0)")
         table = scan_diagonal_family(state, args.diagonal_scan, d, tol=args.tol)
@@ -250,14 +251,12 @@ _HANDLERS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("state_file", help="JSON state file with 8 [re, im] amplitude pairs")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="relative rank tolerance (default 1e-10)")
+    common.add_argument("--tol", type=float, default=RANK_TOL,
+                        help="relative rank tolerance (default %(default)g)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every stochastic component (default 0)")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
-    common.add_argument("--json", dest="pretty", action="store_false",
-                        help="compact JSON output (default)")
 
     parser = argparse.ArgumentParser(
         prog="ghzdistill",

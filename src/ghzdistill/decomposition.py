@@ -37,17 +37,11 @@ from .errors import (
     ParallelVectorsError,
 )
 from .tensor import State3Q, local_spectra, normalize, spectral_ranks
-
-# squared chordal distance of the projective roots below this -> W class;
-# the quadratic scale makes the label stable under 1e-13 amplitude noise,
-# which splits an exact double root by ~sqrt(noise) in linear distance
-DOUBLE_ROOT_TOL = 1e-8
-PRODUCT_ANGLE_TOL = 1e-8    # product vectors closer than this in angle -> ill-conditioned
-_TIE_TOL = 1e-12
-# stored overlaps must match their vectors' to what build_povms can use: its
-# failure operator is exact for the stored overlap, and the completeness
-# check allows 1e-10
-_OVERLAP_TOL = 1e-11
+from .tolerances import (
+    COARSE_RANK_FACTOR, COARSE_RANK_FLOOR, DOUBLE_ROOT_TOL, LSTSQ_RESIDUAL_TOL,
+    NORM_IDENTITY_TOL, OVERLAP_TOL, PARALLEL_TOL, PHASE_COMPONENT_CUT, PRODUCT_ANGLE_TOL,
+    RANK_TOL, TIE_TOL, UNIT_VECTOR_TOL, VANISHING_QUADRATIC_RTOL, ZERO_NORM, ZERO_OVERLAP,
+)
 
 
 class EntanglementClass(Enum):
@@ -86,14 +80,14 @@ class ProductDecomposition:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "c1", "c2"):
             v = np.array(np.reshape(getattr(self, name), 2), dtype=np.complex128)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(v) - 1.0) > UNIT_VECTOR_TOL:
                 raise InvariantViolationError(f"local vector {name} is not unit norm")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         # the equal-weight tie-break orders terms by their local vectors, so
         # mu1 may sit a rounding error below mu2; the solver brackets its
         # optimum by mu1/mu2, so that ratio must be finite
-        if not (self.mu1 >= self.mu2 - _TIE_TOL and self.mu2 > 0.0
+        if not (self.mu1 >= self.mu2 - TIE_TOL and self.mu2 > 0.0
                 and np.isfinite(self.mu1 / self.mu2)):
             raise InvariantViolationError(
                 "weights must satisfy mu1 >= mu2 > 0 with mu1/mu2 finite")
@@ -107,14 +101,14 @@ class ProductDecomposition:
             np.vdot(self.c1, self.c2),
         )
         for s, o, name in zip(stored, actual, ("sa", "sb", "sc")):
-            if abs(o - s) > _OVERLAP_TOL:
+            if abs(o - s) > OVERLAP_TOL:
                 raise InvariantViolationError(
                     f"stored overlap {name}={s!r} disagrees with vectors ({o!r})"
                 )
         norm2 = (self.mu1 ** 2 + self.mu2 ** 2
                  + 2.0 * self.mu1 * self.mu2 * np.cos(self.phi)
                  * self.sa * self.sb * self.sc)
-        if abs(norm2 - 1.0) > 1e-10:
+        if abs(norm2 - 1.0) > NORM_IDENTITY_TOL:
             raise InvariantViolationError(
                 f"decomposition normalization identity off by {norm2 - 1.0:.3e}"
             )
@@ -140,9 +134,9 @@ def dual_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v1 = np.asarray(v1, dtype=np.complex128).reshape(2)
     v2 = np.asarray(v2, dtype=np.complex128).reshape(2)
     n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-    if n1 < 1e-12 or n2 < 1e-12:
+    if n1 < ZERO_NORM or n2 < ZERO_NORM:
         raise ParallelVectorsError("dual basis of a zero vector")
-    if abs(np.vdot(v1, v2)) / (n1 * n2) >= 1.0 - 1e-10:
+    if abs(np.vdot(v1, v2)) / (n1 * n2) >= 1.0 - PARALLEL_TOL:
         raise ParallelVectorsError("vectors are numerically parallel")
     m = np.column_stack([v1, v2])
     dual = np.linalg.inv(m).conj().T
@@ -185,7 +179,7 @@ def _projective_distance_sq(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(max(0.0, 1.0 - min(1.0, c) ** 2))
 
 
-def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
+def classification_evidence(state: State3Q, tol: float = RANK_TOL) -> dict:
     """Class label together with the evidence that produced it.
 
     Returns a dict with keys "class" (EntanglementClass), "ranks" (per
@@ -220,10 +214,10 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
     w0, w1 = state.amps[:4], state.amps[4:]
     q2, q1, q0 = _quadratic_coeffs(w0, w1)
     scale = max(np.linalg.norm(w0), np.linalg.norm(w1)) ** 2
-    if max(abs(q2), abs(q1), abs(q0)) <= 1e-13 * scale:
+    if max(abs(q2), abs(q1), abs(q0)) <= VANISHING_QUADRATIC_RTOL * scale:
         # every range vector would be a product vector; that forces a local
         # rank of 1, so retry the rank tests with a coarser cut before failing
-        coarse = by_ranks(max(tol * 1e3, 1e-7))
+        coarse = by_ranks(max(tol * COARSE_RANK_FACTOR, COARSE_RANK_FLOOR))
         if coarse["class"] is not None:
             return coarse
         raise DegenerateQuadraticError(
@@ -239,7 +233,7 @@ def classification_evidence(state: State3Q, tol: float = 1e-10) -> dict:
             "product_vectors": nvec, "roots": roots}
 
 
-def classify(state: State3Q, tol: float = 1e-10) -> EntanglementClass:
+def classify(state: State3Q, tol: float = RANK_TOL) -> EntanglementClass:
     """Entanglement class of a pure three-qubit state."""
     return classification_evidence(state, tol)["class"]
 
@@ -259,10 +253,9 @@ def _fix_phase_first_component(v: np.ndarray) -> tuple[np.ndarray, complex]:
     """Rotate v so its first non-negligible component is real positive.
 
     Returns (rotated vector, phase factor removed), with v = factor * rotated.
-    The 1e-6 cut keeps the chosen component's phase well above rounding noise
-    (unit vectors cannot have both components below it).
+    A component counts when its modulus exceeds PHASE_COMPONENT_CUT.
     """
-    idx = 0 if abs(v[0]) > 1e-6 else 1
+    idx = 0 if abs(v[0]) > PHASE_COMPONENT_CUT else 1
     ph = v[idx] / abs(v[idx])
     return v * np.conj(ph), ph
 
@@ -271,7 +264,7 @@ def _magnitude_key(*vectors) -> tuple:
     return tuple(float(abs(x)) for v in vectors for x in v)
 
 
-def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
+def decompose(state: State3Q, tol: float = RANK_TOL) -> ProductDecomposition:
     """Two-term product decomposition of a GHZ-class state.
 
     Raises NotGHZClassError for other classes (classified at rank tolerance
@@ -301,7 +294,7 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
     basis[:4, 0] = basis[4:, 1] = bc1
     basis[:4, 2] = basis[4:, 3] = bc2
     sol, *_ = np.linalg.lstsq(basis, state.amps, rcond=None)
-    if np.linalg.norm(basis @ sol - state.amps) > 1e-8:
+    if np.linalg.norm(basis @ sol - state.amps) > LSTSQ_RESIDUAL_TOL:
         raise IllConditionedError("could not express the state in its product-vector pair")
 
     terms = []
@@ -310,9 +303,9 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
         terms.append({"coef": m, "a": a / m, "b": b, "c": c})
 
     w1_, w2_ = abs(terms[0]["coef"]), abs(terms[1]["coef"])
-    if w2_ > w1_ + _TIE_TOL:
+    if w2_ > w1_ + TIE_TOL:
         terms.reverse()
-    elif abs(w1_ - w2_) <= _TIE_TOL:
+    elif abs(w1_ - w2_) <= TIE_TOL:
         k1 = _magnitude_key(terms[0]["a"], terms[0]["b"], terms[0]["c"])
         k2 = _magnitude_key(terms[1]["a"], terms[1]["b"], terms[1]["c"])
         if k2 > k1:
@@ -324,7 +317,7 @@ def decompose(state: State3Q, tol: float = 1e-10) -> ProductDecomposition:
         terms[0][site] = v1
         terms[0]["coef"] *= ph1
         o = np.vdot(v1, terms[1][site])
-        if abs(o) > 1e-12:
+        if abs(o) > ZERO_OVERLAP:
             ph2 = o / abs(o)
             terms[1][site] = terms[1][site] * np.conj(ph2)
             terms[1]["coef"] *= ph2

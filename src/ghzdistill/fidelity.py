@@ -25,12 +25,10 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .tensor import State3Q, fidelity_with, ghz_state
+from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN, UNITARY_TOL
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _SQRT_HALF = np.sqrt(0.5)
-_SWEEP_TOL = 1e-15     # a sweep raising no start's F by more than this ends the search
-_MAX_SWEEPS = 1000
-_TIE_MARGIN = 1e-12    # F gains within this margin do not displace an earlier start
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class LocalUnitaryTriple:
         object.__setattr__(self, "angles", ang)
         for name in ("ua", "ub", "uc"):
             u = np.array(np.reshape(getattr(self, name), (2, 2)), dtype=np.complex128)
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
+            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
                 raise InvariantViolationError(f"{name} is not unitary")
             u.flags.writeable = False
             object.__setattr__(self, name, u)
@@ -132,23 +130,18 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
     ua, ub, uc = (su2(theta[:, 3 * p: 3 * p + 3]) for p in range(3))
     psi_b, psi_c = psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)
     f = np.zeros(restarts + 1)
-    # no update lowers F; near W the convergence is sublinear, so some start
-    # can keep gaining more than _SWEEP_TOL per sweep for thousands of sweeps
-    # long after the best one has settled, and the cap bounds that tail
-    for _ in range(_MAX_SWEEPS):
+    # no update lowers F, so MAX_SWEEPS only bounds the sublinear near-W tail
+    for _ in range(MAX_SWEEPS):
         ua, _ = _polar_update(_environment(ub, uc, psi))
         ub, _ = _polar_update(_environment(ua, uc, psi_b))
         uc, overlap = _polar_update(_environment(ua, ub, psi_c))
         f_prev, f = f, overlap * overlap
-        if np.max(f - f_prev) <= _SWEEP_TOL:
+        if np.max(f - f_prev) <= SWEEP_TOL:
             break
 
     best_f, best = ghz_fidelity(state), None
     for i, fi in enumerate(f):
-        # margin keeps the earliest start on ties (the identity triple wins
-        # when the optimum is a manifold through it), making the triple
-        # deterministic
-        if fi > best_f + _TIE_MARGIN:
+        if fi > best_f + TIE_MARGIN:
             best_f, best = float(fi), i
     angles = (np.zeros((3, 3)) if best is None
               else zyz_angles(np.stack([ua[best], ub[best], uc[best]])))

@@ -29,10 +29,12 @@ from .errors import (
 )
 from .sampling import crandn
 from .simulate import _ops_for
-from .solver import _COMPLETE_TOL, _completeness_residual, optimal_probability_value
+from .solver import _completeness_residual, optimal_probability_value
 from .tensor import State3Q, apply_local, normalize
-
-_NEGLIGIBLE_BRANCH = 1e-18
+from .tolerances import (
+    BRANCH_SUM_TOL, COMPLETE_TOL, CONTRACTION_TOL, DIAGONAL_X_SLACK, NEGLIGIBLE_BRANCH,
+    ORTHOGONAL_SITE_TOL, RANK_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def complete_pair(n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     N1 must be a contraction (largest singular value at most 1).
     """
     ev, vec = np.linalg.eigh(np.eye(2) - n1.conj().T @ n1)
-    if ev[0] < -1e-12:
+    if ev[0] < -CONTRACTION_TOL:
         raise PreconditionViolatedError("operator is not a contraction; no completion exists")
     n2 = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.conj().T
     return n1, n2
@@ -82,7 +84,7 @@ def _branch(state: State3Q, op: np.ndarray, party: str, tol: float) -> BranchOut
     valued 0.  IllConditionedError propagates.
     """
     raw, p = apply_local(state, *_ops_for(party, op))
-    if p < _NEGLIGIBLE_BRANCH:
+    if p < NEGLIGIBLE_BRANCH:
         return BranchOutcome(probability=p, label="negligible", p_value=0.0)
     try:
         d = decompose(normalize(raw), tol)
@@ -93,7 +95,7 @@ def _branch(state: State3Q, op: np.ndarray, party: str, tol: float) -> BranchOut
 
 
 def audit_povm(state: State3Q, povm_pair, party: str,
-               p_before: float | None = None, tol: float = 1e-10) -> MonotoneReport:
+               p_before: float | None = None, tol: float = RANK_TOL) -> MonotoneReport:
     """Monotone inequality audit for one POVM on one party.
 
     ``p_before`` can be passed in when the caller audits the same state
@@ -104,13 +106,13 @@ def audit_povm(state: State3Q, povm_pair, party: str,
     decomposition aborts the audit.
     """
     m0, m1 = povm_pair
-    if not _completeness_residual(m0, m1) <= _COMPLETE_TOL:
-        raise PreconditionViolatedError(f"POVM pair is not complete within {_COMPLETE_TOL}")
+    if not _completeness_residual(m0, m1) <= COMPLETE_TOL:
+        raise PreconditionViolatedError(f"POVM pair is not complete within {COMPLETE_TOL}")
     if p_before is None:
         p_before = optimal_probability_value(decompose(state, tol))
     branches = (_branch(state, m0, party, tol), _branch(state, m1, party, tol))
     total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > BRANCH_SUM_TOL:
         raise InvariantViolationError(f"branch probabilities sum to {total!r}")
     weighted = sum(b.probability * b.p_value for b in branches)
     return MonotoneReport(p_before=p_before, weighted_after=weighted,
@@ -119,7 +121,7 @@ def audit_povm(state: State3Q, povm_pair, party: str,
 
 def _diagonal_pair(d: ProductDecomposition, x: float) -> tuple[np.ndarray, np.ndarray]:
     lo = 2.0 * d.mu1 ** 2 - 1.0
-    if not lo - 1e-12 <= x <= 1.0 + 1e-12:
+    if not lo - DIAGONAL_X_SLACK <= x <= 1.0 + DIAGONAL_X_SLACK:
         raise InfeasibleXError(
             f"x={x!r} outside the positivity region [{lo!r}, 1] of the diagonal family"
         )
@@ -139,7 +141,7 @@ def _diagonal_pair(d: ProductDecomposition, x: float) -> tuple[np.ndarray, np.nd
 def diagonal_family_audit(state: State3Q, x: float,
                           d: ProductDecomposition | None = None,
                           p_before: float | None = None,
-                          tol: float = 1e-10) -> MonotoneReport:
+                          tol: float = RANK_TOL) -> MonotoneReport:
     """Audit one member of the balanced diagonal family on Alice's side.
 
     Requires a decomposition with sa = 0 (Alice's local pair orthogonal);
@@ -151,7 +153,7 @@ def diagonal_family_audit(state: State3Q, x: float,
     """
     if d is None:
         d = decompose(state, tol)
-    if d.sa > 1e-10:
+    if d.sa > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(
             f"diagonal family needs an orthogonal Alice pair, got sa={d.sa!r}"
         )
@@ -162,7 +164,7 @@ def diagonal_family_audit(state: State3Q, x: float,
 
 def scan_diagonal_family(state: State3Q, steps: int,
                          d: ProductDecomposition | None = None,
-                         tol: float = 1e-10) -> np.ndarray:
+                         tol: float = RANK_TOL) -> np.ndarray:
     """Sweep the feasible x range uniformly; returns an array of (x, slack).
 
     ``d`` is the decomposition of ``state`` to scan with; the state is

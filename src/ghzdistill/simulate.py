@@ -20,9 +20,9 @@ import numpy as np
 from .errors import InvariantViolationError
 from .solver import PovmTriple
 from .tensor import State3Q, apply_local, fidelity_with, ghz_state, normalize
+from .tolerances import FIDELITY_OVERSHOOT, RATE_TOL, UNDERFLOW
 
 _EYE = np.eye(2, dtype=np.complex128)
-_UNDERFLOW = 1e-14
 _PARTY_SLOT = {"A": 0, "B": 1, "C": 2}
 
 
@@ -39,9 +39,9 @@ class SimulationReport:
             raise InvariantViolationError("a report needs at least one trial")
         if not 0 <= self.successes <= self.trials:
             raise InvariantViolationError("successes out of range")
-        if abs(self.success_rate - self.successes / self.trials) > 1e-15:
+        if abs(self.success_rate - self.successes / self.trials) > RATE_TOL:
             raise InvariantViolationError("success_rate inconsistent with counts")
-        if not 0.0 <= self.mean_success_fidelity <= 1.0 + 1e-12:
+        if not 0.0 <= self.mean_success_fidelity <= 1.0 + FIDELITY_OVERSHOOT:
             raise InvariantViolationError("mean fidelity outside [0, 1]")
 
 
@@ -54,12 +54,12 @@ def _ops_for(party: str, op: np.ndarray) -> list[np.ndarray]:
 def _effective_threshold(p0: float) -> float:
     """Sampling threshold for outcome 0 with the underflow rule applied.
 
-    An outcome drawn with probability below 1e-14 is replaced by the other
-    one, so the threshold collapses to 0 or 1 in the degenerate cases.
+    An outcome drawn with probability below UNDERFLOW is replaced by the
+    other one, so the threshold collapses to 0 or 1 in the degenerate cases.
     """
-    if p0 < _UNDERFLOW:
+    if p0 < UNDERFLOW:
         return 0.0
-    if 1.0 - p0 < _UNDERFLOW:
+    if 1.0 - p0 < UNDERFLOW:
         return 1.0
     return p0
 
@@ -91,24 +91,20 @@ def run_protocol(state: State3Q, povms: PovmTriple, trials: int, seed: int) -> S
 
     thresholds = np.zeros(3)
     current = state
-    dead = False
     for i, op in enumerate((povms.success_a, povms.success_b, povms.success_c)):
-        if dead:
-            break
-        party = "ABC"[i]
-        raw, p = apply_local(current, *_ops_for(party, op))
+        raw, p = apply_local(current, *_ops_for("ABC"[i], op))
         thresholds[i] = _effective_threshold(p)
         if thresholds[i] <= 0.0:
-            dead = True
-        else:
-            current = normalize(raw)
+            # no uniform falls below a zero threshold, so no trial succeeds
+            break
+        current = normalize(raw)
 
     u = trial_uniforms(seed, trials)
     # column by column: much cheaper than np.all(..., axis=1)
     success_mask = ((u[:, 0] < thresholds[0]) & (u[:, 1] < thresholds[1])
                     & (u[:, 2] < thresholds[2]))
     successes = int(np.count_nonzero(success_mask))
-    fid = fidelity_with(current, ghz_state()) if (successes > 0 and not dead) else 0.0
+    fid = fidelity_with(current, ghz_state()) if successes > 0 else 0.0
     return SimulationReport(
         trials=trials,
         successes=successes,

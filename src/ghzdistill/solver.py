@@ -41,12 +41,10 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .tensor import apply_local, fidelity_with, ghz_state, normalize
-
-X_LO = 1e-6             # default x range of grid_search_probability
-X_HI = 1e6
-_U_TOL = 1e-12           # bisection tolerance in u = log x
-_ZERO_OVERLAP = 1e-12
-_PLATEAU_RTOL = 1e-12   # objective values this close count as tied maxima
+from .tolerances import (
+    COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, ORTHOGONAL_SITE_TOL, PHASE_TOL,
+    PLATEAU_RTOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
+)
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,6 @@ class OsbpSolution:
     def coefficients(self) -> tuple[float, ...]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2,
                 self.gamma1, self.gamma2)
-
-
-_COMPLETE_TOL = 1e-10
 
 
 def _completeness_residual(m: np.ndarray, m_bar: np.ndarray):
@@ -114,10 +109,10 @@ class PovmTriple:
         residuals = _completeness_residual(stack[0::2], stack[1::2])
         singular_values = np.linalg.svd(stack[1::2], compute_uv=False)
         for r, sv, party in zip(residuals, singular_values, "ABC"):
-            if not r <= _COMPLETE_TOL:
+            if not r <= COMPLETE_TOL:
                 raise InvariantViolationError(
                     f"POVM pair for {party} is not complete (residual {r:.3g})")
-            if sv[1] > 1e-8 * sv[0]:
+            if sv[1] > FAILURE_RANK_RTOL * sv[0]:
                 raise InvariantViolationError(
                     f"failure operator for {party} has rank 2 (singular values {sv})"
                 )
@@ -190,13 +185,13 @@ def objective(d: ProductDecomposition, x: float) -> float:
     return float(_objective(d, float(x)))
 
 
-def grid_search_probability(d: ProductDecomposition, points: int = 100_000,
-                            x_lo: float = X_LO, x_hi: float = X_HI) -> tuple[float, float]:
+def grid_search_probability(d: ProductDecomposition,
+                            points: int = 100_000) -> tuple[float, float]:
     """Best (value, x) over a logarithmic grid of ``points`` x values on
-    [x_lo, x_hi]; the test oracle of the bracketed search.  Ties resolve to
+    [X_LO, X_HI]; the test oracle of the bracketed search.  Ties resolve to
     the lowest x.
     """
-    us = np.linspace(np.log(x_lo), np.log(x_hi), int(points))
+    us = np.linspace(np.log(X_LO), np.log(X_HI), int(points))
     vals = _objective(d, np.exp(us))
     i = int(np.argmax(vals))
     return float(vals[i]), float(np.exp(us[i]))
@@ -241,7 +236,7 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
     """
     r = d.mu1 / d.mu2
     lo, hi = 0.0, max(float(np.log(r)), 0.0)
-    while hi - lo > _U_TOL:
+    while hi - lo > U_TOL:
         mid = 0.5 * (lo + hi)
         if _rising(d, float(np.exp(mid))):
             lo = mid
@@ -249,7 +244,7 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
             hi = mid
     candidates = [(float(_objective(d, x)), x) for x in (1.0, r, float(np.exp(lo)))]
     best = max(v for v, _ in candidates)
-    tied = [x for v, x in candidates if v >= best - _PLATEAU_RTOL * max(1.0, best)]
+    tied = [x for v, x in candidates if v >= best - PLATEAU_RTOL * max(1.0, best)]
     # rounding in the decomposition data can push the evaluated maximum a few
     # ulp above 1; the value is a probability, so cap it there
     return min(best, 1.0), min(tied)
@@ -269,7 +264,7 @@ def optimal_probability(d: ProductDecomposition) -> OsbpSolution:
     the sa = 0 problem with weights (mu1 alpha1, mu2 alpha2), whose optimal
     ratios ``_two_site_ratios`` gives; each ratio becomes a pair on its
     site's curve.  The product of the coefficients is checked against p_opt
-    (within 1e-8), together with the balance, completion and phase
+    (within SOLUTION_TOL), together with the balance, completion and phase
     constraints.
     """
     p_opt, x_star = _max_objective(d)
@@ -290,16 +285,16 @@ def optimal_probability(d: ProductDecomposition) -> OsbpSolution:
 
 def _check_solution(d: ProductDecomposition, sol: OsbpSolution) -> None:
     a1, a2, b1, b2, g1, g2 = sol.coefficients
-    if abs(sol.p_opt - 2.0 * (a1 * b1 * g1 * d.mu1) ** 2) > 1e-8:
+    if abs(sol.p_opt - 2.0 * (a1 * b1 * g1 * d.mu1) ** 2) > SOLUTION_TOL:
         raise InvariantViolationError("coefficient product disagrees with p_opt")
-    if abs(a1 * b1 * g1 * d.mu1 - a2 * b2 * g2 * d.mu2) > 1e-8:
+    if abs(a1 * b1 * g1 * d.mu1 - a2 * b2 * g2 * d.mu2) > SOLUTION_TOL:
         raise InvariantViolationError("branch weights are not balanced")
     for k1, k2, s, name in ((a1, a2, d.sa, "alpha"), (b1, b2, d.sb, "beta"),
                             (g1, g2, d.sc, "gamma")):
-        if abs((1.0 - k1 ** 2) * (1.0 - k2 ** 2) - s * s) > 1e-8:
+        if abs((1.0 - k1 ** 2) * (1.0 - k2 ** 2) - s * s) > SOLUTION_TOL:
             raise InvariantViolationError(f"rank-1 completion constraint broken for {name}")
     phase_sum = (sol.phase_a + sol.phase_b + sol.phase_c + d.phi) % (2.0 * np.pi)
-    if min(phase_sum, 2.0 * np.pi - phase_sum) > 1e-10:
+    if min(phase_sum, 2.0 * np.pi - phase_sum) > PHASE_TOL:
         raise InvariantViolationError("operator phases do not cancel the decomposition phase")
 
 
@@ -309,7 +304,7 @@ def closed_form_one_site(d: ProductDecomposition) -> float:
     Requires sa = sb = 0; the value equals twice the smallest eigenvalue of
     the single-party reduction of the acting site.
     """
-    if d.sa > 1e-10 or d.sb > 1e-10:
+    if d.sa > ORTHOGONAL_SITE_TOL or d.sb > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(
             f"one-site closed form needs sa = sb = 0, got sa={d.sa!r}, sb={d.sb!r}"
         )
@@ -340,7 +335,7 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     0/0 and its diagonal limit mu2/mu1 is reported with a flag; the actual
     optimum then uses trivial pairs (1, 1) for both sites.
     """
-    if d.sa > 1e-10:
+    if d.sa > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(f"two-site closed form needs sa = 0, got {d.sa!r}")
     mu1, mu2, sb, sc = d.mu1, d.mu2, d.sb, d.sc
     pref = 1.0 + 2.0 * mu1 * mu2 * sb * sc
@@ -350,7 +345,7 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     ratio_beta, ratio_gamma = _two_site_ratios(mu1, mu2, sb, sc)
     return TwoSiteClosedForm(p=float(p), ratio_beta=float(ratio_beta),
                              ratio_gamma=float(ratio_gamma),
-                             ratios_by_continuity=bool(sb + sc <= _ZERO_OVERLAP))
+                             ratios_by_continuity=bool(sb + sc <= ZERO_OVERLAP))
 
 
 def _two_site_ratios(m1: float, m2: float, sb: float, sc: float) -> tuple[float, float]:
@@ -358,7 +353,7 @@ def _two_site_ratios(m1: float, m2: float, sb: float, sc: float) -> tuple[float,
     with weights (m1, m2), which need not be normalized; the diagonal
     limit m2/m1 for both when sb = sc = 0 (see ``closed_form_two_sites``).
     """
-    if sb + sc <= _ZERO_OVERLAP:
+    if sb + sc <= ZERO_OVERLAP:
         return m2 / m1, m2 / m1
     ratio_beta = (m2 / m1) * (m2 * sb + m1 * sc) / (m1 * sb + m2 * sc)
     return ratio_beta, (m2 / m1) ** 2 / ratio_beta
@@ -381,7 +376,7 @@ def _balanced_pair(rho, s: float):
     """Coefficients (k1, k2) with ratio k1/k2 = rho on the curve
     (1-k1^2)(1-k2^2) = s^2 of a site with overlap s.  At a zero-overlap
     site the curve is "one coefficient equals 1"."""
-    if s <= _ZERO_OVERLAP:
+    if s <= ZERO_OVERLAP:
         k1 = np.where(rho <= 1.0, rho, 1.0)
         k2 = np.where(rho <= 1.0, 1.0, 1.0 / rho)
         return k1, k2
@@ -398,8 +393,8 @@ def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
     (1 - k1^2)(1 - k2^2) = s^2 the completion I - S^dag S is f f^dag with
     f = sqrt(1 - k1^2) t1 + sqrt(1 - k2^2) t2, and the failure operator is
     its square root F = f f^dag / |f|, rank 1 by construction; F = 0 when
-    |f|^2 <= 1e-12 (a zero-overlap site with the trivial pair).  The
-    success triple is verified to give GHZ at probability p_opt.
+    |f|^2 <= ZERO_FAILURE_TOL (a zero-overlap site with the trivial pair).
+    The success triple is verified to give GHZ at probability p_opt.
     """
     ops = []
     for v1, v2, s, k1, k2, phase in (
@@ -415,15 +410,16 @@ def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
         small = s / big if big > 0.0 else 0.0
         f = big * t1 + small * t2 if e1 >= e2 else small * t1 + big * t2
         f2 = float(np.vdot(f, f).real)
-        ops += [succ, np.outer(f, f.conj()) / np.sqrt(f2) if f2 > 1e-12 else np.zeros((2, 2))]
+        fail = np.outer(f, f.conj()) / np.sqrt(f2) if f2 > ZERO_FAILURE_TOL else np.zeros((2, 2))
+        ops += [succ, fail]
     triple = PovmTriple(*ops)
 
     raw, p = apply_local(reconstruct(d), triple.success_a, triple.success_b,
                          triple.success_c)
     # written so that a NaN fails them
-    if not fidelity_with(normalize(raw), ghz_state()) >= 1.0 - 1e-10:
+    if not fidelity_with(normalize(raw), ghz_state()) >= 1.0 - GHZ_INFIDELITY_TOL:
         raise InvariantViolationError("success branch does not produce the GHZ state")
-    if not abs(p - sol.p_opt) <= 1e-8:
+    if not abs(p - sol.p_opt) <= SOLUTION_TOL:
         raise InvariantViolationError(
             f"success branch probability {p!r} disagrees with p_opt {sol.p_opt!r}"
         )

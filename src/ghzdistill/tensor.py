@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ZeroVectorError
+from .tolerances import NORM_ATOL, RANK_TOL, ZERO_NORM
 
 _AXIS = {"A": 0, "B": 1, "C": 2}
-
-NORM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,20 +43,22 @@ class State3Q:
 def normalize(raw) -> State3Q:
     """Scale an 8-component amplitude vector to unit norm.
 
-    Raises ZeroVectorError when the norm is at or below 1e-12.
+    Raises ZeroVectorError when the norm is at or below ZERO_NORM.
     """
     a = np.asarray(raw, dtype=np.complex128).reshape(8)
     n = float(np.linalg.norm(a))
-    if n <= 1e-12:
+    if n <= ZERO_NORM:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
     return State3Q(a / n)
 
 
+_GHZ = State3Q(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2.0))
+
+
 def ghz_state() -> State3Q:
-    """(|000> + |111>)/sqrt(2)."""
-    a = np.zeros(8, dtype=np.complex128)
-    a[0] = a[7] = 1.0 / np.sqrt(2.0)
-    return State3Q(a)
+    """(|000> + |111>)/sqrt(2), one shared value: State3Q is frozen and its
+    amplitudes are read-only."""
+    return _GHZ
 
 
 def w_state() -> State3Q:
@@ -123,7 +124,7 @@ def spectral_ranks(ev: np.ndarray, tol: float) -> np.ndarray:
     return np.where(top[..., 0] > 0.0, np.count_nonzero(ev > tol * top, axis=-1), 0)
 
 
-def numeric_rank(m: np.ndarray, tol: float = 1e-10) -> int:
+def numeric_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above tol * (largest eigenvalue)."""
     if tol <= 0:
         raise ValueError("tol must be positive")

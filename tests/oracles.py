@@ -11,14 +11,10 @@ import numpy as np
 
 from ghzdistill.decomposition import ProductDecomposition
 from ghzdistill.simulate import _effective_threshold, _ops_for
-from ghzdistill.solver import (
-    _COMPLETE_TOL,
-    _ZERO_OVERLAP,
-    _balanced_pair,
-    _completeness_residual,
-    _smaller_balance_root,
-)
+from ghzdistill.solver import _balanced_pair, _completeness_residual, _smaller_balance_root
 from ghzdistill.tensor import State3Q, apply_local, normalize
+from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
+from ghzdistill.tolerances import ZERO_OVERLAP as _ZERO_OVERLAP
 
 _INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
 

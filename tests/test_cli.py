@@ -102,6 +102,13 @@ def test_bad_tol_exits_2(capsys, ghz_file, tol):
     assert "Traceback" not in err
 
 
+def test_json_flag_is_a_usage_error(ghz_file):
+    # compact output is the default; there is no flag for it
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--json", ghz_file])
+    assert info.value.code == 2
+
+
 def test_malformed_json_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -183,6 +190,16 @@ def test_distill_not_ghz_found_by_decompose_exits_4(capsys, tmp_path):
     assert rc == 0
     d = decompose(normalize(amps), tol=1e-14)
     assert doc["result"]["p_opt"] == pytest.approx(closed_form_one_site(d), rel=1e-12)
+
+
+def test_distill_vanishing_quadratic_exits_4(capsys, tmp_path):
+    # every local rank is 2 at --tol 1e-20; the coarse rank retry of the
+    # vanishing product-vector quadratic finds a product state
+    path = write_state(tmp_path / "coarse.json", [1, 0, 0, 0, 0, 1e-7, 1e-7, 0])
+    rc, doc, err = run_cli(capsys, ["distill", "--tol", "1e-20", path])
+    assert rc == 4
+    assert doc is None
+    assert "FullyProduct" in err
 
 
 def test_distill_package_error_exits_3(capsys, tmp_path):

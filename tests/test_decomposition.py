@@ -170,6 +170,20 @@ def test_evidence_ranks_match_per_party_numeric_rank_on_the_rank_cut(tol):
             assert all(type(r) is int for r in ranks.values())
 
 
+def test_vanishing_quadratic_retries_the_ranks_at_the_coarse_cut():
+    # at tol 1e-20 every local rank is 2, but the product-vector quadratic
+    # vanishes (largest coefficient 1e-14 against the 1e-13 x scale cut);
+    # only the coarse cut max(tol x 1e3, 1e-7) then decides the class
+    st = normalize([1, 0, 0, 0, 0, 1e-7, 1e-7, 0])
+    assert _per_party_ranks(st, 1e-20) == {"A": 2, "B": 2, "C": 2}
+    ev = classification_evidence(st, 1e-20)
+    assert ev["class"] is EntanglementClass.FULLY_PRODUCT
+    assert ev["ranks"] == {"A": 1, "B": 1, "C": 1}
+    with pytest.raises(NotGHZClassError) as info:
+        decompose(st, 1e-20)
+    assert info.value.cls is EntanglementClass.FULLY_PRODUCT
+
+
 def test_decompose_solves_the_quadratic_once(monkeypatch):
     calls = []
     original = decomposition._homogeneous_roots

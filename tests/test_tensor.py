@@ -53,6 +53,13 @@ def test_state_amps_read_only():
         st.amps[0] = 1.0
 
 
+def test_ghz_state_is_one_shared_read_only_value():
+    st = ghz_state()
+    assert st is ghz_state()
+    assert not st.amps.flags.writeable
+    assert_allclose(st.amps, [SQ2, 0, 0, 0, 0, 0, 0, SQ2], rtol=0, atol=0)
+
+
 def _held_arrays(obj):
     return {name: v for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
 

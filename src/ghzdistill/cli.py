@@ -10,9 +10,12 @@ envelope to stdout:
 
 Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
-stderr.  Exit codes: 0 success, 2 parse/usage error, 3 state-invariant
-failure (including any package error raised while solving), 4 distillation
-impossible (the decomposition finds the input not GHZ class at ``--tol``).
+stderr.  Exit codes: 0 success; 2 parse/usage error, including an argument
+outside a library function's domain (PreconditionViolatedError, such as
+``--trials 0`` or a diagonal scan of a state with sa > 0) and a ``--seed``
+below 0; 3 state-invariant failure (any other package error raised while
+solving); 4 distillation impossible (the decomposition finds the input not
+GHZ class at ``--tol``).
 """
 from __future__ import annotations
 
@@ -24,13 +27,15 @@ import time
 import numpy as np
 
 from .decomposition import classification_evidence, decompose
-from .errors import GhzDistillError, NotGHZClassError, ZeroVectorError
+from .errors import (
+    GhzDistillError, NotGHZClassError, PreconditionViolatedError, ZeroVectorError,
+)
 from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
 from .solver import build_povms, optimal_probability, optimal_probability_value
 from .tensor import State3Q, normalize
-from .tolerances import NORM_WARN_TOL, ORTHOGONAL_SITE_TOL, RANK_TOL
+from .tolerances import NORM_WARN_TOL, RANK_TOL
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -167,8 +172,6 @@ def _cmd_distill(args, state: State3Q) -> dict:
 
 
 def _cmd_simulate(args, state: State3Q) -> dict:
-    if args.trials < 1:
-        raise CliError(EXIT_PARSE, "--trials must be >= 1")
     d = decompose(state, args.tol)
     povms = build_povms(d, optimal_probability(d))
     report = run_protocol(state, povms, args.trials, args.seed)
@@ -186,11 +189,6 @@ def _cmd_audit(args, state: State3Q) -> dict:
     p_before = optimal_probability_value(d)
 
     if args.diagonal_scan is not None:
-        if args.diagonal_scan < 3:
-            raise CliError(EXIT_PARSE, "--diagonal-scan needs at least 3 steps")
-        if d.sa > ORTHOGONAL_SITE_TOL:
-            raise CliError(EXIT_PARSE,
-                           "diagonal scan needs an orthogonal Alice pair (sa = 0)")
         table = scan_diagonal_family(state, args.diagonal_scan, d, tol=args.tol)
         i_min = int(np.argmin(table[:, 1]))
         return {
@@ -225,8 +223,6 @@ def _cmd_audit(args, state: State3Q) -> dict:
 
 
 def _cmd_fidelity(args, state: State3Q) -> dict:
-    if args.restarts < 1:
-        raise CliError(EXIT_PARSE, "--restarts must be >= 1")
     f, triple = optimal_lu_fidelity(state, restarts=args.restarts, seed=args.seed)
     return {
         "fidelity": f,
@@ -254,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=RANK_TOL,
                         help="relative rank tolerance (default %(default)g)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for every stochastic component (default 0)")
+                        help="seed (>= 0) for every stochastic component (default 0)")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
 
@@ -290,11 +286,16 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.tol < float("inf"):
             raise CliError(EXIT_PARSE, f"--tol must be finite and positive, got {args.tol!r}")
+        if args.seed < 0:
+            raise CliError(EXIT_PARSE, f"--seed must be >= 0, got {args.seed}")
         state, label = load_state(args.state_file)
         result = _HANDLERS[args.command](args, state)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except PreconditionViolatedError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     except NotGHZClassError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_DISTILLABLE

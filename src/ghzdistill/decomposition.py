@@ -36,7 +36,7 @@ from .errors import (
     NotGHZClassError,
     ParallelVectorsError,
 )
-from .tensor import State3Q, local_spectra, normalize, spectral_ranks
+from .tensor import State3Q, check_tol, local_spectra, normalize, spectral_ranks
 from .tolerances import (
     COARSE_RANK_FACTOR, COARSE_RANK_FLOOR, DOUBLE_ROOT_TOL, LSTSQ_RESIDUAL_TOL,
     NORM_IDENTITY_TOL, OVERLAP_TOL, PARALLEL_TOL, PHASE_COMPONENT_CUT, PRODUCT_ANGLE_TOL,
@@ -194,9 +194,7 @@ def classification_evidence(state: State3Q, tol: float = RANK_TOL) -> dict:
     tripartite states are split into GHZ/W class by counting product
     vectors in the range of the B+C reduction.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
+    check_tol(tol)
     spectra = local_spectra(state)
 
     def by_ranks(cut):   # the class is None when the ranks do not decide it

@@ -36,14 +36,9 @@ class ParallelVectorsError(GhzDistillError, ValueError):
     """Dual basis requested for (numerically) linearly dependent vectors."""
 
 
-class NonPositiveXError(GhzDistillError, ValueError):
-    """Objective evaluated outside its domain x > 0."""
-
-
 class PreconditionViolatedError(GhzDistillError, ValueError):
-    """Argument outside the operation's domain: a closed form outside its
-    family, or a caller's POVM that is not complete or not a contraction."""
-
-
-class InfeasibleXError(GhzDistillError, ValueError):
-    """Diagonal-family parameter outside the positivity region of the POVM."""
+    """A caller's argument lies outside the operation's documented domain:
+    a count below its minimum, a ``tol`` that is not finite and positive, a
+    bit string, party set, overlap or x out of range, a closed form outside
+    its family, or a POVM that is not complete or not a contraction.  The
+    CLI reports it as a usage error (exit 2)."""

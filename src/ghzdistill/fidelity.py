@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import PreconditionViolatedError
 from .tensor import State3Q, fidelity_with, ghz_state
-from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN, UNITARY_TOL
+from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _SQRT_HALF = np.sqrt(0.5)
@@ -33,23 +33,32 @@ _SQRT_HALF = np.sqrt(0.5)
 
 @dataclass(frozen=True)
 class LocalUnitaryTriple:
-    """Three single-qubit unitaries with their ZYZ angles (3 per party)."""
+    """Three single-qubit unitaries su2(angles[p]), one per party, given by
+    their ZYZ angles."""
 
-    ua: np.ndarray
-    ub: np.ndarray
-    uc: np.ndarray
     angles: np.ndarray   # shape (3, 3): rows A, B, C
 
     def __post_init__(self):
         ang = np.array(np.reshape(self.angles, (3, 3)), dtype=np.float64)
         ang.flags.writeable = False
         object.__setattr__(self, "angles", ang)
-        for name in ("ua", "ub", "uc"):
-            u = np.array(np.reshape(getattr(self, name), (2, 2)), dtype=np.complex128)
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
-                raise InvariantViolationError(f"{name} is not unitary")
-            u.flags.writeable = False
-            object.__setattr__(self, name, u)
+
+    def _unitary(self, party: int) -> np.ndarray:
+        u = su2(self.angles[party])
+        u.flags.writeable = False
+        return u
+
+    @property
+    def ua(self) -> np.ndarray:
+        return self._unitary(0)
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self._unitary(1)
+
+    @property
+    def uc(self) -> np.ndarray:
+        return self._unitary(2)
 
 
 def ghz_fidelity(state: State3Q) -> float:
@@ -123,7 +132,7 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
     to the state.
     """
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise PreconditionViolatedError(f"restarts must be >= 1, got {restarts!r}")
     psi = state.tensor
     rng = np.random.default_rng(seed)
     theta = np.vstack([np.zeros(9), rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 9))])
@@ -145,9 +154,7 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
             best_f, best = float(fi), i
     angles = (np.zeros((3, 3)) if best is None
               else zyz_angles(np.stack([ua[best], ub[best], uc[best]])))
-    triple = LocalUnitaryTriple(ua=su2(angles[0]), ub=su2(angles[1]), uc=su2(angles[2]),
-                                angles=angles)
-    return best_f, triple
+    return best_f, LocalUnitaryTriple(angles)
 
 
 def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import EntanglementClass, ProductDecomposition, decompose
-from .errors import (
-    InfeasibleXError,
-    InvariantViolationError,
-    NotGHZClassError,
-    PreconditionViolatedError,
-)
+from .errors import InvariantViolationError, NotGHZClassError, PreconditionViolatedError
 from .sampling import crandn
 from .simulate import _ops_for
 from .solver import _completeness_residual, optimal_probability_value
@@ -48,8 +43,12 @@ class BranchOutcome:
 class MonotoneReport:
     p_before: float
     weighted_after: float
-    slack: float         # p_before - weighted_after, recorded unclamped
     branches: tuple[BranchOutcome, ...]
+
+    @property
+    def slack(self) -> float:
+        """p_before - weighted_after, unclamped."""
+        return self.p_before - self.weighted_after
 
 
 def complete_pair(n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,14 +114,13 @@ def audit_povm(state: State3Q, povm_pair, party: str,
     if abs(total - 1.0) > BRANCH_SUM_TOL:
         raise InvariantViolationError(f"branch probabilities sum to {total!r}")
     weighted = sum(b.probability * b.p_value for b in branches)
-    return MonotoneReport(p_before=p_before, weighted_after=weighted,
-                          slack=p_before - weighted, branches=branches)
+    return MonotoneReport(p_before=p_before, weighted_after=weighted, branches=branches)
 
 
 def _diagonal_pair(d: ProductDecomposition, x: float) -> tuple[np.ndarray, np.ndarray]:
     lo = 2.0 * d.mu1 ** 2 - 1.0
     if not lo - DIAGONAL_X_SLACK <= x <= 1.0 + DIAGONAL_X_SLACK:
-        raise InfeasibleXError(
+        raise PreconditionViolatedError(
             f"x={x!r} outside the positivity region [{lo!r}, 1] of the diagonal family"
         )
     d1 = x / (2.0 * d.mu1 ** 2)
@@ -175,7 +173,7 @@ def scan_diagonal_family(state: State3Q, steps: int,
     everywhere and reaches zero only around x = mu1^2.
     """
     if steps < 3:
-        raise ValueError("steps must be >= 3")
+        raise PreconditionViolatedError(f"steps must be >= 3, got {steps!r}")
     if d is None:
         d = decompose(state, tol)
     p_before = optimal_probability_value(d)

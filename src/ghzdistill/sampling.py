@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionViolatedError
 from .tensor import State3Q, normalize
 
 
@@ -46,7 +47,7 @@ def apply_local_unitaries(state: State3Q, ua, ub, uc) -> State3Q:
 def vector_with_overlap(rng: np.random.Generator, v1: np.ndarray, s: float) -> np.ndarray:
     """Unit vector v2 with <v1|v2> = s (real, 0 <= s < 1), random otherwise."""
     if not 0.0 <= s < 1.0:
-        raise ValueError("overlap must lie in [0, 1)")
+        raise PreconditionViolatedError(f"overlap must lie in [0, 1), got {s!r}")
     # any unit vector orthogonal to v1, with a random relative phase
     perp = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=np.complex128)
     perp *= np.exp(2j * np.pi * rng.random())

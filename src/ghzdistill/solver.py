@@ -35,11 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import ProductDecomposition, dual_basis, reconstruct
-from .errors import (
-    InvariantViolationError,
-    NonPositiveXError,
-    PreconditionViolatedError,
-)
+from .errors import InvariantViolationError, PreconditionViolatedError
 from .tensor import apply_local, fidelity_with, ghz_state, normalize
 from .tolerances import (
     COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, ORTHOGONAL_SITE_TOL, PHASE_TOL,
@@ -181,7 +177,7 @@ def _rising(d: ProductDecomposition, x: float) -> bool:
 def objective(d: ProductDecomposition, x: float) -> float:
     """Branch-probability objective of the 1-D reduction, at x > 0."""
     if not x > 0.0:
-        raise NonPositiveXError(f"objective requires x > 0, got {x!r}")
+        raise PreconditionViolatedError(f"objective requires x > 0, got {x!r}")
     return float(_objective(d, float(x)))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, ZeroVectorError
+from .errors import InvariantViolationError, PreconditionViolatedError, ZeroVectorError
 from .tolerances import NORM_ATOL, RANK_TOL, ZERO_NORM
 
 _AXIS = {"A": 0, "B": 1, "C": 2}
@@ -71,7 +71,7 @@ def w_state() -> State3Q:
 def basis_state(bits: str) -> State3Q:
     """Computational basis ket, e.g. basis_state("010")."""
     if len(bits) != 3 or any(c not in "01" for c in bits):
-        raise ValueError(f"expected a 3-character bit string, got {bits!r}")
+        raise PreconditionViolatedError(f"expected a 3-character bit string, got {bits!r}")
     a = np.zeros(8, dtype=np.complex128)
     a[int(bits, 2)] = 1.0
     return State3Q(a)
@@ -80,10 +80,11 @@ def basis_state(bits: str) -> State3Q:
 def _party_axes(parties) -> tuple[int, ...]:
     names = list(parties)
     if not names or any(p not in _AXIS for p in names) or len(set(names)) != len(names):
-        raise ValueError(f"parties must be a nonempty subset of A,B,C; got {parties!r}")
+        raise PreconditionViolatedError(
+            f"parties must be a nonempty subset of A,B,C; got {parties!r}")
     axes = tuple(sorted(_AXIS[p] for p in names))
     if len(axes) == 3:
-        raise ValueError("parties must be a proper subset of {A,B,C}")
+        raise PreconditionViolatedError("parties must be a proper subset of {A,B,C}")
     return axes
 
 
@@ -124,10 +125,15 @@ def spectral_ranks(ev: np.ndarray, tol: float) -> np.ndarray:
     return np.where(top[..., 0] > 0.0, np.count_nonzero(ev > tol * top, axis=-1), 0)
 
 
+def check_tol(tol: float) -> None:
+    """Raise PreconditionViolatedError unless ``tol`` is finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise PreconditionViolatedError(f"tol must be finite and positive, got {tol!r}")
+
+
 def numeric_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above tol * (largest eigenvalue)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     return int(spectral_ranks(np.linalg.eigvalsh(m), tol))
 
 

@@ -57,9 +57,9 @@ U_TOL = 1e-12  (solver)
     width at which the bisection in u = log x stops
 PLATEAU_RTOL = 1e-12  (solver)
     objective values this close, relative, are one maximum
-ORTHOGONAL_SITE_TOL = 1e-10  (solver, monotone, cli)
+ORTHOGONAL_SITE_TOL = 1e-10  (solver, monotone)
     a site counts as orthogonal for the sa = 0 families: the closed
-    forms, the diagonal family and ``audit --diagonal-scan``
+    forms and the diagonal family
 SOLUTION_TOL = 1e-8  (solver)
     probabilities and coefficients agree: p against the coefficient
     product and the success branch, the balance, the rank-1 curves
@@ -78,8 +78,6 @@ Simulation, audits and LU fidelity
 
 UNDERFLOW = 1e-14  (simulate)
     a sampled outcome less likely than this never occurs
-RATE_TOL = 1e-15  (simulate)
-    a report's success rate matches its counts
 FIDELITY_OVERSHOOT = 1e-12  (simulate)
     a mean fidelity may exceed 1 by this much
 NEGLIGIBLE_BRANCH = 1e-18  (monotone)
@@ -96,8 +94,6 @@ MAX_SWEEPS = 1000  (fidelity)
     cap on the number of sweeps
 TIE_MARGIN = 1e-12  (fidelity)
     an F gain within it does not displace an earlier start
-UNITARY_TOL = 1e-12  (fidelity)
-    a LocalUnitaryTriple's matrices are unitary
 """
 
 # eigenvalues of a reduction are squared amplitudes, so the cut drops
@@ -175,8 +171,6 @@ GHZ_INFIDELITY_TOL = 1e-10
 # no feasible trial count observes it, and its branch would be normalized
 # out of noise
 UNDERFLOW = 1e-14
-# successes / trials is recomputed; the slack absorbs only rounding
-RATE_TOL = 1e-15
 # |<a|b>|^2 of unit vectors can round above 1
 FIDELITY_OVERSHOOT = 1e-12
 # its post-measurement state is rounding; it adds at most 1e-18 to a sum
@@ -195,5 +189,3 @@ MAX_SWEEPS = 1000
 # keeps the earliest start on ties (the identity triple wins when the
 # optimum is a manifold through it), so the triple is deterministic
 TIE_MARGIN = 1e-12
-# su2 of any angles is unitary to ~1e-16
-UNITARY_TOL = 1e-12

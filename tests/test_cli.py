@@ -20,7 +20,7 @@ from ghzdistill import (
     reconstruct,
 )
 from ghzdistill.cli import main
-from helpers import PSI_B_AMPS
+from helpers import PSI_B_AMPS, make_decomposition
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -251,6 +251,30 @@ def test_simulate_ghz_rate_one(capsys, ghz_file):
 def test_simulate_zero_trials_exits_2(capsys, psi_b_file):
     rc, doc, err = run_cli(capsys, ["simulate", psi_b_file, "--trials", "0"])
     assert rc == 2
+
+
+@pytest.fixture
+def sa_file(tmp_path):
+    # GHZ class with a non-orthogonal Alice pair (sa = 0.5)
+    d = make_decomposition(np.random.default_rng(3), sa=0.5)
+    return write_state(tmp_path / "sa.json", reconstruct(d).amps, "sa")
+
+
+@pytest.mark.parametrize("command,state,extra", [
+    ("simulate", "psi_b_file", ["--seed", "-1"]),
+    ("audit", "psi_b_file", ["--seed", "-1"]),
+    ("fidelity", "psi_b_file", ["--seed", "-1"]),
+    ("simulate", "psi_b_file", ["--trials", "0"]),
+    ("fidelity", "psi_b_file", ["--restarts", "0"]),
+    ("audit", "psi_b_file", ["--diagonal-scan", "2"]),
+    ("audit", "sa_file", ["--diagonal-scan", "5"]),
+])
+def test_argument_outside_its_domain_exits_2(capsys, request, command, state, extra):
+    rc, doc, err = run_cli(capsys, [command, request.getfixturevalue(state), *extra])
+    assert rc == 2
+    assert doc is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- audit

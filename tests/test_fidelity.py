@@ -96,6 +96,7 @@ def test_returned_triple_reproduces_fidelity_and_is_stationary():
         assert ghz_fidelity(rotated) == pytest.approx(f, abs=1e-12)
         for u, ang in zip((triple.ua, triple.ub, triple.uc), triple.angles):
             np.testing.assert_array_equal(u, su2(ang))
+            assert not u.flags.writeable
         # first-order optimality certificate at the returned angles
         f_ang, grad = _fidelity_and_grad(triple.angles.ravel(), st.tensor)
         assert f_ang == pytest.approx(f, abs=1e-12)

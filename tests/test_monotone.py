@@ -13,7 +13,7 @@ from ghzdistill import (
     scan_diagonal_family,
 )
 from ghzdistill import decomposition
-from ghzdistill.errors import InfeasibleXError, NotGHZClassError, PreconditionViolatedError
+from ghzdistill.errors import NotGHZClassError, PreconditionViolatedError
 from ghzdistill.monotone import _diagonal_pair
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from helpers import make_decomposition, psi_b, random_ghz_state
@@ -174,9 +174,9 @@ def test_diagonal_boundary_disentangles_one_weight():
 
 def test_diagonal_infeasible_x():
     d = decompose(psi_b())
-    with pytest.raises(InfeasibleXError):
+    with pytest.raises(PreconditionViolatedError):
         diagonal_family_audit(psi_b(), 2 * d.mu1 ** 2 - 1.1)
-    with pytest.raises(InfeasibleXError):
+    with pytest.raises(PreconditionViolatedError):
         diagonal_family_audit(psi_b(), 1.1)
 
 

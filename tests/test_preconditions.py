@@ -1,0 +1,59 @@
+"""Every out-of-domain argument to a public call raises PreconditionViolatedError."""
+import numpy as np
+import pytest
+
+from ghzdistill import (
+    PovmTriple,
+    basis_state,
+    classification_evidence,
+    classify,
+    decompose,
+    diagonal_family_audit,
+    ghz_state,
+    numeric_rank,
+    objective,
+    optimal_lu_fidelity,
+    reduced_density,
+    run_protocol,
+    scan_diagonal_family,
+)
+from ghzdistill.errors import GhzDistillError, PreconditionViolatedError
+from ghzdistill.sampling import vector_with_overlap
+from helpers import psi_b
+
+_EYE, _ZERO = np.eye(2), np.zeros((2, 2))
+
+CASES = {
+    "basis_state bits": lambda: basis_state("01"),
+    "reduced_density unknown party": lambda: reduced_density(ghz_state(), "AD"),
+    "reduced_density all parties": lambda: reduced_density(ghz_state(), "ABC"),
+    "numeric_rank tol 0": lambda: numeric_rank(np.eye(2), 0.0),
+    "numeric_rank tol nan": lambda: numeric_rank(np.eye(2), float("nan")),
+    "numeric_rank tol inf": lambda: numeric_rank(np.eye(2), float("inf")),
+    "classification_evidence tol -1": lambda: classification_evidence(ghz_state(), -1.0),
+    "classification_evidence tol nan": lambda: classification_evidence(ghz_state(), np.nan),
+    "classification_evidence tol inf": lambda: classification_evidence(ghz_state(), np.inf),
+    "classify tol nan": lambda: classify(ghz_state(), np.nan),
+    "decompose tol inf": lambda: decompose(ghz_state(), np.inf),
+    "vector_with_overlap s 1": lambda: vector_with_overlap(
+        np.random.default_rng(0), np.array([1.0, 0.0]), 1.0),
+    "run_protocol trials 0": lambda: run_protocol(
+        ghz_state(), PovmTriple(_EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO), 0, 0),
+    "scan_diagonal_family steps 2": lambda: scan_diagonal_family(ghz_state(), 2),
+    "optimal_lu_fidelity restarts 0": lambda: optimal_lu_fidelity(ghz_state(), restarts=0),
+    "diagonal_family_audit x above 1": lambda: diagonal_family_audit(psi_b(), 1.1),
+    "diagonal_family_audit x below range": lambda: diagonal_family_audit(psi_b(), -0.2),
+    "objective x 0": lambda: objective(decompose(ghz_state()), 0.0),
+    "objective x -1": lambda: objective(decompose(ghz_state()), -1.0),
+}
+
+
+def test_precondition_error_is_a_package_error_and_a_value_error():
+    assert issubclass(PreconditionViolatedError, GhzDistillError)
+    assert issubclass(PreconditionViolatedError, ValueError)
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_out_of_domain_argument_raises_precondition_error(call):
+    with pytest.raises(PreconditionViolatedError):
+        call()

@@ -20,11 +20,7 @@ from ghzdistill import (
     reduced_density,
     w_state,
 )
-from ghzdistill.errors import (
-    InvariantViolationError,
-    NonPositiveXError,
-    PreconditionViolatedError,
-)
+from ghzdistill.errors import InvariantViolationError, PreconditionViolatedError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import X_HI, X_LO, _objective, _rising
 from ghzdistill.tensor import fidelity_with
@@ -46,9 +42,9 @@ def test_objective_psi_b_at_one():
 
 def test_objective_rejects_nonpositive_x():
     d = decompose(ghz_state())
-    with pytest.raises(NonPositiveXError):
+    with pytest.raises(PreconditionViolatedError):
         objective(d, 0.0)
-    with pytest.raises(NonPositiveXError):
+    with pytest.raises(PreconditionViolatedError):
         objective(d, -1.0)
 
 

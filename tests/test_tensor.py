@@ -74,7 +74,6 @@ def test_held_results_own_read_only_copies_of_their_arrays():
                    b1=b1, b2=vector_with_overlap(rng, b1, 0.0),
                    c1=c1, c2=vector_with_overlap(rng, c1, 0.0))
     eye, z = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    u = haar_unitary(rng)
     built = [
         (State3Q, dict(amps=haar_state(rng).amps.copy())),
         (State3Q, dict(amps=haar_state(rng).amps.reshape(2, 2, 2).copy())),
@@ -83,8 +82,7 @@ def test_held_results_own_read_only_copies_of_their_arrays():
                                     **vectors)),
         (PovmTriple, dict(success_a=eye.copy(), failure_a=z.copy(), success_b=eye.ravel(),
                           failure_b=z.ravel(), success_c=eye.tolist(), failure_c=z.copy())),
-        (LocalUnitaryTriple, dict(ua=u.copy(), ub=u.ravel(), uc=u.tolist(),
-                                  angles=np.zeros(9))),
+        (LocalUnitaryTriple, dict(angles=np.zeros(9))),
     ]
     for cls, fields in built:
         obj = cls(**fields)

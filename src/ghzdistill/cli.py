@@ -34,7 +34,7 @@ from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
 from .solver import build_povms, optimal_probability, optimal_probability_value
-from .tensor import State3Q, normalize
+from .tensor import State3Q, normalize, vector_norm
 from .tolerances import NORM_WARN_TOL, RANK_TOL
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def load_state(path: str) -> tuple[State3Q, str | None]:
     vec = np.array([re + 1j * im for re, im in pairs])
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise CliError(EXIT_INVARIANT, f"{path}: amplitudes must be finite")
-    n = float(np.linalg.norm(vec))
+    n = float(vector_norm(vec))
     if abs(n - 1.0) > NORM_WARN_TOL:
         print(f"warning: {path}: state norm {n:.6g} differs from 1; renormalizing",
               file=sys.stderr)

@@ -36,7 +36,7 @@ from .errors import (
     NotGHZClassError,
     ParallelVectorsError,
 )
-from .tensor import State3Q, check_tol, local_spectra, normalize, spectral_ranks
+from .tensor import State3Q, check_tol, local_spectra, normalize, spectral_ranks, vector_norm
 from .tolerances import (
     COARSE_RANK_FACTOR, COARSE_RANK_FLOOR, DOUBLE_ROOT_TOL, LSTSQ_RESIDUAL_TOL,
     NORM_IDENTITY_TOL, OVERLAP_TOL, PARALLEL_TOL, PHASE_COMPONENT_CUT, PRODUCT_ANGLE_TOL,
@@ -80,7 +80,7 @@ class ProductDecomposition:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "c1", "c2"):
             v = np.array(np.reshape(getattr(self, name), 2), dtype=np.complex128)
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_VECTOR_TOL:
+            if abs(vector_norm(v) - 1.0) > UNIT_VECTOR_TOL:
                 raise InvariantViolationError(f"local vector {name} is not unit norm")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -133,7 +133,7 @@ def dual_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     v1 = np.asarray(v1, dtype=np.complex128).reshape(2)
     v2 = np.asarray(v2, dtype=np.complex128).reshape(2)
-    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+    n1, n2 = vector_norm(v1), vector_norm(v2)
     if n1 < ZERO_NORM or n2 < ZERO_NORM:
         raise ParallelVectorsError("dual basis of a zero vector")
     if abs(np.vdot(v1, v2)) / (n1 * n2) >= 1.0 - PARALLEL_TOL:
@@ -168,8 +168,8 @@ def _homogeneous_roots(q2: complex, q1: complex, q0: complex):
     for sign in (+1.0, -1.0):
         cand_a = np.array([-q1 + sign * sq, 2.0 * q2])
         cand_b = np.array([2.0 * q0, -q1 - sign * sq])
-        r = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-        roots.append(r / np.linalg.norm(r))
+        r = cand_a if vector_norm(cand_a) >= vector_norm(cand_b) else cand_b
+        roots.append(r / vector_norm(r))
     return roots[0], roots[1]
 
 
@@ -211,7 +211,7 @@ def classification_evidence(state: State3Q, tol: float = RANK_TOL) -> dict:
 
     w0, w1 = state.amps[:4], state.amps[4:]
     q2, q1, q0 = _quadratic_coeffs(w0, w1)
-    scale = max(np.linalg.norm(w0), np.linalg.norm(w1)) ** 2
+    scale = max(vector_norm(w0), vector_norm(w1)) ** 2
     if max(abs(q2), abs(q1), abs(q0)) <= VANISHING_QUADRATIC_RTOL * scale:
         # every range vector would be a product vector; that forces a local
         # rank of 1, so retry the rank tests with a coarser cut before failing
@@ -278,8 +278,8 @@ def decompose(state: State3Q, tol: float = RANK_TOL) -> ProductDecomposition:
     r1, r2 = ev["roots"]
     p1 = r1[0] * w0 + r1[1] * w1
     p2 = r2[0] * w0 + r2[1] * w1
-    p1 /= np.linalg.norm(p1)
-    p2 /= np.linalg.norm(p2)
+    p1 /= vector_norm(p1)
+    p2 /= vector_norm(p2)
     if np.sqrt(_projective_distance_sq(p1, p2)) < PRODUCT_ANGLE_TOL:
         raise IllConditionedError("product vectors nearly parallel; state too close to W class")
 
@@ -292,12 +292,12 @@ def decompose(state: State3Q, tol: float = RANK_TOL) -> ProductDecomposition:
     basis[:4, 0] = basis[4:, 1] = bc1
     basis[:4, 2] = basis[4:, 3] = bc2
     sol, *_ = np.linalg.lstsq(basis, state.amps, rcond=None)
-    if np.linalg.norm(basis @ sol - state.amps) > LSTSQ_RESIDUAL_TOL:
+    if vector_norm(basis @ sol - state.amps) > LSTSQ_RESIDUAL_TOL:
         raise IllConditionedError("could not express the state in its product-vector pair")
 
     terms = []
     for a, b, c in ((sol[0:2], b1, c1), (sol[2:4], b2, c2)):
-        m = np.linalg.norm(a)
+        m = vector_norm(a)
         terms.append({"coef": m, "a": a / m, "b": b, "c": c})
 
     w1_, w2_ = abs(terms[0]["coef"]), abs(terms[1]["coef"])

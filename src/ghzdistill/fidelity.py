@@ -9,13 +9,22 @@ parameterization, global phases being irrelevant to the fidelity
 
 With two of the unitaries fixed, the overlap is tr(U E) for the third
 party's unitary U and a 2x2 environment matrix E = W S V^dag; its modulus
-is maximal, equal to the sum of the singular values, at the polar factor
-U = V W^dag.  The maximization alternates these block updates over the
-parties (as for the geometric measure of entanglement, Wei & Goldbart,
-quant-ph/0307219) from a number of random starts plus the identity start
-(which guarantees F >= |<GHZ|psi>|^2), all starts as one batch.  No update
-lowers F.  ``_fidelity_and_grad`` gives F and its gradient in the nine
-angles, a first-order optimality certificate at the returned angles.
+is maximal, equal to the sum s = s1 + s2 of the singular values, at the
+polar factor U = V W^dag.  For a 2x2 matrix that factor has a closed form,
+with no SVD:
+
+    U = (E^dag + e^{-i theta} adj(E)) / s,   s = sqrt(|E|_F^2 + 2 |det E|),
+
+where theta = arg det E and adj([[a, b], [c, d]]) = [[d, -b], [-c, a]];
+then tr(U E) = s, and the sweep's F is s^2.  When det E = 0 (E of rank 1) every unit phase
+gives an optimal unitary and the phase is taken as 1; when E = 0 every
+unitary is optimal and U is the identity.  The maximization alternates
+these block updates over the parties (as for the geometric measure of
+entanglement, Wei & Goldbart, quant-ph/0307219) from a number of random
+starts plus the identity start (which guarantees F >= |<GHZ|psi>|^2), all
+starts as one batch.  No update lowers F.  ``_fidelity_and_grad`` gives F
+and its gradient in the nine angles, a first-order optimality certificate
+at the returned angles.
 """
 from __future__ import annotations
 
@@ -23,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolatedError
-from .tensor import State3Q, fidelity_with, ghz_state
+from .tensor import State3Q, check_int, fidelity_with, ghz_state
 from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -117,9 +126,29 @@ def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.nd
 
 def _polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each E = W S V^dag of the stack, the unitary V W^dag maximizing
-    |tr(U E)|, and that maximum, the sum of the singular values S."""
-    w, s, vh = np.linalg.svd(e)
-    return np.conj(np.swapaxes(w @ vh, -1, -2)), s.sum(axis=-1)
+    |tr(U E)|, and that maximum s, the sum of the singular values S.
+
+    Closed form, elementwise over the stack: U = (E^dag + e^{-i theta}
+    adj(E)) / s with theta = arg det E and s = sqrt(|E|_F^2 + 2 |det E|),
+    so that tr(U E) = s.  det E = 0 takes the phase 1 (every unit phase is
+    optimal for a rank-1 E), and E = 0 takes the identity.
+    """
+    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    r = np.abs(det)
+    re_im = e.reshape(len(e), 4).view(np.float64)
+    s = np.sqrt(np.einsum("ri,ri->r", re_im, re_im) + 2.0 * r)
+    full_rank = r.all()
+    if full_rank:
+        ph, scale = np.conj(det) / r, s
+    else:   # the guarded forms cost more, so only a det exactly 0 takes them
+        ph = np.divide(np.conj(det), r, out=np.ones_like(det), where=r > 0.0)
+        scale = np.where(s > 0.0, s, 1.0)
+    # E^dag + ph adj(E) is the transpose of conj(E) + ph [[d, -c], [-b, a]]
+    u = np.swapaxes(np.conj(e) + ph[:, None, None] * (e[:, ::-1, ::-1] * _ADJ_SIGN),
+                    1, 2) / scale[:, None, None]
+    if not full_rank:
+        u[s == 0.0] = np.eye(2)
+    return u, s
 
 
 def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
@@ -131,8 +160,8 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
     (state, restarts, seed); the returned triple reproduces F when applied
     to the state.
     """
-    if restarts < 1:
-        raise PreconditionViolatedError(f"restarts must be >= 1, got {restarts!r}")
+    check_int("restarts", restarts, 1)
+    check_int("seed", seed, 0)
     psi = state.tensor
     rng = np.random.default_rng(seed)
     theta = np.vstack([np.zeros(9), rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 9))])

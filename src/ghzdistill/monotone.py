@@ -25,7 +25,7 @@ from .errors import InvariantViolationError, NotGHZClassError, PreconditionViola
 from .sampling import crandn
 from .simulate import _ops_for
 from .solver import _completeness_residual, optimal_probability_value
-from .tensor import State3Q, apply_local, normalize
+from .tensor import State3Q, apply_local, check_int, normalize, vector_norm
 from .tolerances import (
     BRANCH_SUM_TOL, COMPLETE_TOL, CONTRACTION_TOL, DIAGONAL_X_SLACK, NEGLIGIBLE_BRANCH,
     ORTHOGONAL_SITE_TOL, RANK_TOL,
@@ -129,7 +129,7 @@ def _diagonal_pair(d: ProductDecomposition, x: float) -> tuple[np.ndarray, np.nd
 
     # projectors onto Alice's local pair, orthonormalized (sa = 0 already)
     a2 = d.a2 - np.vdot(d.a1, d.a2) * d.a1
-    a2 /= np.linalg.norm(a2)
+    a2 /= vector_norm(a2)
     p1 = np.outer(d.a1, d.a1.conj())
     p2 = np.outer(a2, a2.conj())
     roots = np.sqrt(squares)
@@ -172,8 +172,7 @@ def scan_diagonal_family(state: State3Q, steps: int,
     unless sa = 0.  The slack is nonnegative up to solver tolerance
     everywhere and reaches zero only around x = mu1^2.
     """
-    if steps < 3:
-        raise PreconditionViolatedError(f"steps must be >= 3, got {steps!r}")
+    check_int("steps", steps, 3)
     if d is None:
         d = decompose(state, tol)
     p_before = optimal_probability_value(d)

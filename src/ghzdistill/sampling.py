@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .tensor import State3Q, normalize
+from .tensor import State3Q, normalize, vector_norm
 
 
 def crandn(rng: np.random.Generator, size) -> np.ndarray:
@@ -24,7 +24,7 @@ def haar_state(rng: np.random.Generator) -> State3Q:
 def haar_local_vector(rng: np.random.Generator) -> np.ndarray:
     """Haar-random single-qubit unit vector."""
     v = crandn(rng, 2)
-    return v / np.linalg.norm(v)
+    return v / vector_norm(v)
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, PreconditionViolatedError
+from .errors import InvariantViolationError
 from .solver import PovmTriple
-from .tensor import State3Q, apply_local, fidelity_with, ghz_state, normalize
+from .tensor import State3Q, apply_local, check_int, fidelity_with, ghz_state, normalize
 from .tolerances import FIDELITY_OVERSHOOT, UNDERFLOW
 
 _EYE = np.eye(2, dtype=np.complex128)
@@ -87,8 +87,8 @@ def run_protocol(state: State3Q, povms: PovmTriple, trials: int, seed: int) -> S
     of trial_uniforms (asserted in the test-suite).  ``PovmTriple`` has
     already checked that each pair is complete.
     """
-    if trials < 1:
-        raise PreconditionViolatedError(f"trials must be >= 1, got {trials!r}")
+    check_int("trials", trials, 1)
+    check_int("seed", seed, 0)
 
     thresholds = np.zeros(3)
     current = state

@@ -7,6 +7,7 @@ immutable values.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,19 @@ class State3Q:
         return self.amps.reshape(2, 2, 2)
 
 
+def vector_norm(v: np.ndarray) -> np.float64:
+    """Euclidean norm of a 1-D complex vector, computed as np.linalg.norm
+    computes it (the same bits) with fewer calls."""
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def normalize(raw) -> State3Q:
     """Scale an 8-component amplitude vector to unit norm.
 
     Raises ZeroVectorError when the norm is at or below ZERO_NORM.
     """
     a = np.asarray(raw, dtype=np.complex128).reshape(8)
-    n = float(np.linalg.norm(a))
+    n = float(vector_norm(a))
     if n <= ZERO_NORM:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
     return State3Q(a / n)
@@ -129,6 +136,12 @@ def check_tol(tol: float) -> None:
     """Raise PreconditionViolatedError unless ``tol`` is finite and positive."""
     if not 0.0 < tol < np.inf:
         raise PreconditionViolatedError(f"tol must be finite and positive, got {tol!r}")
+
+
+def check_int(name: str, value: int, low: int) -> None:
+    """Raise PreconditionViolatedError unless ``value`` is an integer >= low."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise PreconditionViolatedError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def numeric_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:

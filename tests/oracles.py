@@ -6,6 +6,9 @@ against.  No code in ``ghzdistill`` calls them.
   coefficients of ``ghzdistill.solver.optimal_probability``.
 - ``sample_branch``: one POVM on one party, sampled, the oracle of the
   threshold sampling of ``ghzdistill.simulate.run_protocol``.
+- ``svd_polar_update``: the polar factors of a stack of 2x2 matrices by
+  LAPACK SVD, the oracle of the closed form of
+  ``ghzdistill.fidelity._polar_update``.
 """
 import numpy as np
 
@@ -175,3 +178,12 @@ def sample_branch(state: State3Q, povm_pair, party: str, rng) -> tuple[int, Stat
         return 0, normalize(raw0), p0
     raw1, p1 = apply_local(state, *_ops_for(party, m1))
     return 1, normalize(raw1), p1
+
+
+# ------------------------------------------------------------ polar factors
+
+def svd_polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each E = W S V^dag of the stack, the unitary V W^dag maximizing
+    |tr(U E)|, and that maximum, the sum of the singular values S."""
+    w, s, vh = np.linalg.svd(e)
+    return np.conj(np.swapaxes(w @ vh, -1, -2)), s.sum(axis=-1)

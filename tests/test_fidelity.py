@@ -1,15 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ghzdistill import (
     decompose,
+    fidelity,
     ghz_fidelity,
     ghz_state,
     optimal_lu_fidelity,
     optimal_probability_value,
     w_state,
 )
-from ghzdistill.fidelity import _fidelity_and_grad, sampled_fidelity_bound, su2, zyz_angles
+from ghzdistill.fidelity import (
+    _fidelity_and_grad,
+    _polar_update,
+    sampled_fidelity_bound,
+    su2,
+    zyz_angles,
+)
 from ghzdistill.sampling import (
     apply_local_unitaries,
     haar_state,
@@ -17,7 +26,9 @@ from ghzdistill.sampling import (
     random_local_unitaries,
 )
 from ghzdistill.tensor import basis_state
+from ghzdistill.tolerances import MAX_SWEEPS
 from helpers import random_ghz_state
+from oracles import svd_polar_update
 
 
 def test_ghz_fidelity_examples():
@@ -138,3 +149,69 @@ def test_unit_fidelity_iff_unit_distillation_probability():
     p = optimal_probability_value(decompose(st))
     assert f < 1.0 - 1e-8
     assert p < 1.0 - 1e-8
+
+
+def _singular_stack(rng, n, ratio=None):
+    """W diag(s1, s2) V^dag with Haar W, V; s2/s1 = ratio, or uniform in
+    [0, 1) when ratio is None."""
+    s1 = rng.uniform(0.1, 3.0, n)
+    s2 = s1 * (rng.uniform(0.0, 1.0, n) if ratio is None else ratio)
+    return np.array([haar_unitary(rng) @ np.diag([a, b]) @ haar_unitary(rng)
+                     for a, b in zip(s1, s2)])
+
+
+def _rank_one_stack(rng):
+    """2x2 matrices of rank 1 whose det a d - b c rounds to exactly 0: a zero
+    row, a zero column, or real rows a power of two apart."""
+    z = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2))
+    z[:20, 1, :] = 0.0
+    z[20:40, :, 0] = 0.0
+    x = rng.normal(size=(20, 2))
+    z[40:] = np.stack([x, x * 2.0 ** rng.integers(-3, 4, size=(20, 1))], axis=1)
+    return z
+
+
+POLAR_STACKS = {
+    "haar": lambda rng: _singular_stack(rng, 200),
+    "gaussian": lambda rng: rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)),
+    "rank 1": _rank_one_stack,
+    "near rank 1, s2/s1 = 1e-8": lambda rng: _singular_stack(rng, 100, 1e-8),
+    "near rank 1, s2/s1 = 1e-15": lambda rng: _singular_stack(rng, 100, 1e-15),
+    "zero": lambda rng: np.zeros((3, 2, 2), dtype=np.complex128),
+}
+
+
+@pytest.mark.parametrize("make", POLAR_STACKS.values(), ids=POLAR_STACKS.keys())
+def test_closed_form_polar_update_matches_the_svd_oracle(make):
+    e = make(np.random.default_rng(14))
+    if make is _rank_one_stack:
+        assert np.all(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u, s = _polar_update(e)
+    _, s_svd = svd_polar_update(e)
+    ulp = 8.0 * np.finfo(np.float64).eps * s
+    np.testing.assert_allclose(np.conj(np.swapaxes(u, 1, 2)) @ u,
+                               np.broadcast_to(np.eye(2), e.shape), rtol=0.0, atol=1e-14)
+    overlap = np.einsum("rij,rji->r", u, e)
+    assert np.all(np.abs(overlap.imag) <= ulp)
+    assert np.all(np.abs(overlap.real - s) <= ulp)
+    assert np.all(np.abs(s - s_svd) <= ulp)
+    if not s.any():
+        np.testing.assert_array_equal(u, np.broadcast_to(np.eye(2), e.shape))
+
+
+def test_sweeps_stop_well_short_of_the_cap(monkeypatch):
+    # three polar updates per sweep; a sweep loop kept alive by rounding in
+    # the update would run to MAX_SWEEPS
+    calls = []
+    monkeypatch.setattr(fidelity, "_polar_update",
+                        lambda e: calls.append(1) or _polar_update(e))
+    rng = np.random.default_rng(15)
+    states = [haar_state(rng) for _ in range(32)] + [ghz_state(), w_state(), basis_state("000")]
+    sweeps = []
+    for st in states:
+        calls.clear()
+        optimal_lu_fidelity(st, restarts=8, seed=16)
+        sweeps.append(len(calls) // 3)
+    assert max(sweeps) <= MAX_SWEEPS // 4, sweeps

@@ -22,6 +22,7 @@ from ghzdistill.sampling import vector_with_overlap
 from helpers import psi_b
 
 _EYE, _ZERO = np.eye(2), np.zeros((2, 2))
+_IDENTITY = PovmTriple(_EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO)
 
 CASES = {
     "basis_state bits": lambda: basis_state("01"),
@@ -37,10 +38,16 @@ CASES = {
     "decompose tol inf": lambda: decompose(ghz_state(), np.inf),
     "vector_with_overlap s 1": lambda: vector_with_overlap(
         np.random.default_rng(0), np.array([1.0, 0.0]), 1.0),
-    "run_protocol trials 0": lambda: run_protocol(
-        ghz_state(), PovmTriple(_EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO), 0, 0),
+    "run_protocol trials 0": lambda: run_protocol(ghz_state(), _IDENTITY, 0, 0),
+    "run_protocol trials 2.5": lambda: run_protocol(ghz_state(), _IDENTITY, 2.5, 0),
+    "run_protocol seed -1": lambda: run_protocol(ghz_state(), _IDENTITY, 10, -1),
+    "run_protocol seed 1.5": lambda: run_protocol(ghz_state(), _IDENTITY, 10, 1.5),
     "scan_diagonal_family steps 2": lambda: scan_diagonal_family(ghz_state(), 2),
+    "scan_diagonal_family steps 3.5": lambda: scan_diagonal_family(ghz_state(), 3.5),
     "optimal_lu_fidelity restarts 0": lambda: optimal_lu_fidelity(ghz_state(), restarts=0),
+    "optimal_lu_fidelity restarts 2.5": lambda: optimal_lu_fidelity(ghz_state(), restarts=2.5),
+    "optimal_lu_fidelity seed -1": lambda: optimal_lu_fidelity(ghz_state(), seed=-1),
+    "optimal_lu_fidelity seed 1.5": lambda: optimal_lu_fidelity(ghz_state(), seed=1.5),
     "diagonal_family_audit x above 1": lambda: diagonal_family_audit(psi_b(), 1.1),
     "diagonal_family_audit x below range": lambda: diagonal_family_audit(psi_b(), -0.2),
     "objective x 0": lambda: objective(decompose(ghz_state()), 0.0),

@@ -10,12 +10,12 @@ envelope to stdout:
 
 Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
-stderr.  Exit codes: 0 success; 2 parse/usage error, including an argument
-outside a library function's domain (PreconditionViolatedError, such as
-``--trials 0`` or a diagonal scan of a state with sa > 0) and a ``--seed``
-below 0; 3 state-invariant failure (any other package error raised while
-solving); 4 distillation impossible (the decomposition finds the input not
-GHZ class at ``--tol``).
+stderr.  Exit codes: 0 success; 2 PreconditionViolatedError: an unreadable,
+non-UTF-8 or malformed file, or an argument outside its domain (``--tol``,
+``--seed`` below 0, ``--trials 0``, a diagonal scan of a state with sa > 0);
+3 any other package error, a non-finite amplitude included; 4
+NotGHZClassError (distillation impossible at ``--tol``).  An unnormalized
+state is renormalized with a warning, overflowing amplitudes included.
 """
 from __future__ import annotations
 
@@ -28,25 +28,19 @@ import numpy as np
 
 from .decomposition import classification_evidence, decompose
 from .errors import (
-    GhzDistillError, NotGHZClassError, PreconditionViolatedError, ZeroVectorError,
+    GhzDistillError, InvariantViolationError, NotGHZClassError, PreconditionViolatedError,
 )
 from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
 from .solver import build_povms, optimal_probability, optimal_probability_value
-from .tensor import State3Q, normalize, vector_norm
+from .tensor import State3Q, check_int, check_tol, normalize, vector_norm
 from .tolerances import NORM_WARN_TOL, RANK_TOL
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NOT_DISTILLABLE = 4
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 # ----------------------------------------------------------------------
@@ -97,37 +91,43 @@ def _complex_pairs(a) -> list:
 
 def load_state(path: str) -> tuple[State3Q, str | None]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_PARSE, f"malformed JSON in {path}: {e}")
-    if not isinstance(doc, dict) or "amps" not in doc:
-        raise CliError(EXIT_PARSE, f'{path}: expected an object with an "amps" field')
-    amps = doc["amps"]
-    if not isinstance(amps, list):
-        raise CliError(EXIT_PARSE, f'{path}: "amps" must be a list of [re, im] pairs')
+        raise PreconditionViolatedError(f"cannot read {path}: {e}")
+    except (ValueError, RecursionError, OverflowError) as e:
+        raise PreconditionViolatedError(f"malformed JSON in {path}: {e}")
+    amps = doc.get("amps") if isinstance(doc, dict) else None
+    if not (isinstance(amps, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(v, (int, float)) for v in p)
+            for p in amps)):
+        raise PreconditionViolatedError(f'{path}: "amps" must be a list of [re, im] number pairs')
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise PreconditionViolatedError(f"{path}: label must be a string")
     try:
         pairs = [(float(re), float(im)) for re, im in amps]
-    except (TypeError, ValueError):
-        raise CliError(EXIT_PARSE, f'{path}: "amps" entries must be [re, im] number pairs')
+    except OverflowError:   # an integer beyond the float range
+        raise InvariantViolationError(f"{path}: amplitudes must be finite")
     if len(pairs) != 8:
-        raise CliError(EXIT_INVARIANT, f'{path}: "amps" must have exactly 8 entries, got {len(pairs)}')
+        raise InvariantViolationError(f'{path}: "amps" must have 8 entries, got {len(pairs)}')
     vec = np.array([re + 1j * im for re, im in pairs])
-    if not np.all(np.isfinite(vec.view(np.float64))):
-        raise CliError(EXIT_INVARIANT, f"{path}: amplitudes must be finite")
-    n = float(vector_norm(vec))
+    # an overflowing norm needs no warning: finite amplitudes are rescaled
+    # below, and normalize refuses a vector with a non-finite entry
+    with np.errstate(over="ignore"):
+        n = float(vector_norm(vec))
+        if n == np.inf and np.isfinite(vec).all():
+            # rescale by the largest modulus of a real or imaginary part
+            top = float(np.max(np.abs(vec.view(np.float64))))
+            vec = vec / top
+            n = top * float(vector_norm(vec))
+        try:
+            state = normalize(vec)
+        except GhzDistillError as e:
+            raise type(e)(f"{path}: {e}") from None
     if abs(n - 1.0) > NORM_WARN_TOL:
         print(f"warning: {path}: state norm {n:.6g} differs from 1; renormalizing",
               file=sys.stderr)
-    try:
-        state = normalize(vec)
-    except ZeroVectorError:
-        raise CliError(EXIT_INVARIANT, f"{path}: amplitude vector has zero norm")
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise CliError(EXIT_PARSE, f"{path}: label must be a string")
     return state, label
 
 
@@ -199,8 +199,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
             "min_slack_x": float(table[i_min, 0]),
         }
 
-    if args.povms < 1:
-        raise CliError(EXIT_PARSE, "--povms must be >= 1")
+    check_int("--povms", args.povms, 1)
     per_party = {}
     all_slacks = []
     for idx, party in enumerate("ABC"):
@@ -284,24 +283,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if not 0.0 < args.tol < float("inf"):
-            raise CliError(EXIT_PARSE, f"--tol must be finite and positive, got {args.tol!r}")
-        if args.seed < 0:
-            raise CliError(EXIT_PARSE, f"--seed must be >= 0, got {args.seed}")
+        check_tol(args.tol)
+        check_int("--seed", args.seed, 0)
         state, label = load_state(args.state_file)
         result = _HANDLERS[args.command](args, state)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except PreconditionViolatedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotGHZClassError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_DISTILLABLE
     except GhzDistillError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+        if isinstance(e, PreconditionViolatedError):
+            code, text = EXIT_PARSE, str(e)
+        elif isinstance(e, NotGHZClassError):
+            code, text = EXIT_NOT_DISTILLABLE, str(e)
+        else:
+            code, text = EXIT_INVARIANT, f"{type(e).__name__}: {e}"
+        print(f"error: {text}", file=sys.stderr)
+        return code
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     envelope = {
         "command": args.command,

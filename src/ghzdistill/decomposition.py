@@ -78,9 +78,10 @@ class ProductDecomposition:
     sc: float
 
     def __post_init__(self):
+        # every check is written so that a NaN fails it
         for name in ("a1", "a2", "b1", "b2", "c1", "c2"):
             v = np.array(np.reshape(getattr(self, name), 2), dtype=np.complex128)
-            if abs(vector_norm(v) - 1.0) > UNIT_VECTOR_TOL:
+            if not abs(vector_norm(v) - 1.0) <= UNIT_VECTOR_TOL:
                 raise InvariantViolationError(f"local vector {name} is not unit norm")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -101,14 +102,14 @@ class ProductDecomposition:
             np.vdot(self.c1, self.c2),
         )
         for s, o, name in zip(stored, actual, ("sa", "sb", "sc")):
-            if abs(o - s) > OVERLAP_TOL:
+            if not abs(o - s) <= OVERLAP_TOL:
                 raise InvariantViolationError(
                     f"stored overlap {name}={s!r} disagrees with vectors ({o!r})"
                 )
         norm2 = (self.mu1 ** 2 + self.mu2 ** 2
                  + 2.0 * self.mu1 * self.mu2 * np.cos(self.phi)
                  * self.sa * self.sb * self.sc)
-        if abs(norm2 - 1.0) > NORM_IDENTITY_TOL:
+        if not abs(norm2 - 1.0) <= NORM_IDENTITY_TOL:
             raise InvariantViolationError(
                 f"decomposition normalization identity off by {norm2 - 1.0:.3e}"
             )

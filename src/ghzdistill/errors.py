@@ -1,22 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps each to its exit code in one place: PreconditionViolatedError
+exits 2, NotGHZClassError exits 4 and every other GhzDistillError exits 3.
+"""
 
 
 class GhzDistillError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  CLI exit 3 unless a
+    subclass says otherwise."""
 
 
 class ZeroVectorError(GhzDistillError, ValueError):
-    """Amplitude vector has numerically zero norm."""
+    """Amplitude vector has numerically zero norm.  CLI exit 3."""
 
 
 class InvariantViolationError(GhzDistillError):
-    """A constructed object failed one of its documented invariants."""
+    """A constructed object failed one of its documented invariants, a
+    non-finite amplitude or field included.  CLI exit 3."""
 
 
 class NotGHZClassError(GhzDistillError, ValueError):
     """Operation requires a GHZ-class state and got something else.
 
-    ``cls`` is the EntanglementClass the state was found to be in.
+    ``cls`` is the EntanglementClass the state was found to be in.  CLI
+    exit 4.
     """
 
     def __init__(self, message: str, cls=None):
@@ -25,20 +32,23 @@ class NotGHZClassError(GhzDistillError, ValueError):
 
 
 class IllConditionedError(GhzDistillError):
-    """State sits too close to the GHZ/W boundary for a stable decomposition."""
+    """State sits too close to the GHZ/W boundary for a stable decomposition.
+    CLI exit 3."""
 
 
 class DegenerateQuadraticError(GhzDistillError):
-    """Product-vector quadratic vanished identically with full local ranks."""
+    """Product-vector quadratic vanished identically with full local ranks.
+    CLI exit 3."""
 
 
 class ParallelVectorsError(GhzDistillError, ValueError):
-    """Dual basis requested for (numerically) linearly dependent vectors."""
+    """Dual basis requested for (numerically) linearly dependent vectors.
+    CLI exit 3."""
 
 
 class PreconditionViolatedError(GhzDistillError, ValueError):
     """A caller's argument lies outside the operation's documented domain:
     a count below its minimum, a ``tol`` that is not finite and positive, a
     bit string, party set, overlap or x out of range, a closed form outside
-    its family, or a POVM that is not complete or not a contraction.  The
-    CLI reports it as a usage error (exit 2)."""
+    its family, or a POVM that is not complete or not a contraction; in the
+    CLI also a state file it cannot read or decode.  CLI exit 2."""

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampling import _haar_from_ginibre
 from .tensor import State3Q, check_int, fidelity_with, ghz_state
 from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN
 
@@ -193,6 +194,8 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
     The search draws Haar unitaries per party and evaluates
     |tr(U_A E_A)|^2 with Alice's environment E_A, fully vectorized.
     """
+    check_int("samples", samples, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     psi = state.tensor
     best = 0.0
@@ -201,12 +204,8 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
     while left > 0:
         n = min(chunk, left)
         left -= n
-        cols = []
-        for _ in range(3):
-            z = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
-            q, r = np.linalg.qr(z)
-            d = np.diagonal(r, axis1=1, axis2=2)
-            cols.append(q * (d / np.abs(d)).conj()[:, np.newaxis, :])
+        cols = [_haar_from_ginibre(rng.normal(size=(n, 2, 2))
+                                   + 1j * rng.normal(size=(n, 2, 2))) for _ in range(3)]
         f = np.abs(np.einsum("sij,sji->s", cols[0], _environment(cols[1], cols[2], psi))) ** 2
         best = max(best, float(f.max()))
     return best

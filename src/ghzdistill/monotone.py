@@ -23,9 +23,8 @@ import numpy as np
 from .decomposition import EntanglementClass, ProductDecomposition, decompose
 from .errors import InvariantViolationError, NotGHZClassError, PreconditionViolatedError
 from .sampling import crandn
-from .simulate import _ops_for
 from .solver import _completeness_residual, optimal_probability_value
-from .tensor import State3Q, apply_local, check_int, normalize, vector_norm
+from .tensor import State3Q, _ops_for, apply_local, check_int, normalize, vector_norm
 from .tolerances import (
     BRANCH_SUM_TOL, COMPLETE_TOL, CONTRACTION_TOL, DIAGONAL_X_SLACK, NEGLIGIBLE_BRANCH,
     ORTHOGONAL_SITE_TOL, RANK_TOL,
@@ -67,8 +66,11 @@ def random_povm_pair(seed) -> tuple[np.ndarray, np.ndarray]:
     """Random complete two-outcome POVM {N1, N2}.
 
     N1 is a Ginibre matrix rescaled to a uniformly drawn largest singular
-    value in [0, 1); N2 is the PSD square root of its completion.
+    value in [0, 1); N2 is the PSD square root of its completion.  ``seed``
+    is an integer >= 0 or a numpy SeedSequence.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = crandn(rng, (2, 2))
     return complete_pair(g / np.linalg.svd(g, compute_uv=False)[0] * rng.random())

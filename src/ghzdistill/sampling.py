@@ -1,7 +1,7 @@
 """Seeded random generators for states, unitaries and decomposition data.
 
-Used by the audit module and throughout the test-suite; everything takes an
-explicit numpy Generator so results are reproducible.
+Used by the audit and fidelity modules and throughout the test-suite;
+everything takes an explicit numpy Generator so results are reproducible.
 """
 from __future__ import annotations
 
@@ -27,12 +27,17 @@ def haar_local_vector(rng: np.random.Generator) -> np.ndarray:
     return v / vector_norm(v)
 
 
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """The Q factor of each Ginibre matrix of the stack z (..., 2, 2), its
+    columns rephased so that R has a positive diagonal: Haar-distributed."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., np.newaxis, :]
+
+
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-random 2x2 unitary via QR of a Ginibre matrix with phase fixing."""
-    z = crandn(rng, (2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+    return _haar_from_ginibre(crandn(rng, (2, 2)))
 
 
 def random_local_unitaries(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

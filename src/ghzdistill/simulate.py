@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .solver import PovmTriple
-from .tensor import State3Q, apply_local, check_int, fidelity_with, ghz_state, normalize
+from .tensor import (
+    State3Q, _ops_for, apply_local, check_int, fidelity_with, ghz_state, normalize,
+)
 from .tolerances import FIDELITY_OVERSHOOT, UNDERFLOW
-
-_EYE = np.eye(2, dtype=np.complex128)
-_PARTY_SLOT = {"A": 0, "B": 1, "C": 2}
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,6 @@ class SimulationReport:
             raise InvariantViolationError("successes out of range")
         if not 0.0 <= self.mean_success_fidelity <= 1.0 + FIDELITY_OVERSHOOT:
             raise InvariantViolationError("mean fidelity outside [0, 1]")
-
-
-def _ops_for(party: str, op: np.ndarray) -> list[np.ndarray]:
-    ops = [_EYE, _EYE, _EYE]
-    ops[_PARTY_SLOT[party]] = op
-    return ops
 
 
 def _effective_threshold(p0: float) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .decomposition import ProductDecomposition, dual_basis, reconstruct
 from .errors import InvariantViolationError, PreconditionViolatedError
-from .tensor import apply_local, fidelity_with, ghz_state, normalize
+from .tensor import apply_local, check_int, fidelity_with, ghz_state, normalize
 from .tolerances import (
     COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, ORTHOGONAL_SITE_TOL, PHASE_TOL,
     PLATEAU_RTOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
@@ -187,7 +187,8 @@ def grid_search_probability(d: ProductDecomposition,
     [X_LO, X_HI]; the test oracle of the bracketed search.  Ties resolve to
     the lowest x.
     """
-    us = np.linspace(np.log(X_LO), np.log(X_HI), int(points))
+    check_int("points", points, 1)
+    us = np.linspace(np.log(X_LO), np.log(X_HI), points)
     vals = _objective(d, np.exp(us))
     i = int(np.argmax(vals))
     return float(vals[i]), float(np.exp(us[i]))
@@ -298,15 +299,14 @@ def closed_form_one_site(d: ProductDecomposition) -> float:
     """Optimal probability when only one site (C) is non-orthogonal.
 
     Requires sa = sb = 0; the value equals twice the smallest eigenvalue of
-    the single-party reduction of the acting site.
+    the single-party reduction of the acting site.  It is the two-site
+    closed form at sb = 0, where its prefactor and 1 - sb^2 are exactly 1.
     """
     if d.sa > ORTHOGONAL_SITE_TOL or d.sb > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(
             f"one-site closed form needs sa = sb = 0, got sa={d.sa!r}, sb={d.sb!r}"
         )
-    a = 4.0 * d.mu1 ** 2 * d.mu2 ** 2 * (1.0 - d.sc ** 2)
-    # 1 - sqrt(1 - a), without the cancellation for small a
-    return a / (1.0 + np.sqrt(max(0.0, 1.0 - a)))
+    return closed_form_two_sites(d).p
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .errors import InvariantViolationError, PreconditionViolatedError, ZeroVect
 from .tolerances import NORM_ATOL, RANK_TOL, ZERO_NORM
 
 _AXIS = {"A": 0, "B": 1, "C": 2}
+_EYE = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,8 @@ class State3Q:
         # one owned array, not a view of a private copy
         a = np.array(np.reshape(self.amps, 8), dtype=np.complex128)
         n2 = float(np.sum(np.abs(a) ** 2))
-        if abs(n2 - 1.0) > NORM_ATOL:
+        # written so that a NaN fails it
+        if not abs(n2 - 1.0) <= NORM_ATOL:
             raise InvariantViolationError(
                 f"state norm^2 = {n2!r} differs from 1 by more than {NORM_ATOL}"
             )
@@ -50,10 +52,14 @@ def vector_norm(v: np.ndarray) -> np.float64:
 def normalize(raw) -> State3Q:
     """Scale an 8-component amplitude vector to unit norm.
 
-    Raises ZeroVectorError when the norm is at or below ZERO_NORM.
+    Raises InvariantViolationError when the norm is not finite (a NaN or
+    infinite entry), before any division, and ZeroVectorError when it is at
+    or below ZERO_NORM.
     """
     a = np.asarray(raw, dtype=np.complex128).reshape(8)
     n = float(vector_norm(a))
+    if not n < np.inf:
+        raise InvariantViolationError(f"cannot normalize a vector of norm {n!r}")
     if n <= ZERO_NORM:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
     return State3Q(a / n)
@@ -93,6 +99,17 @@ def _party_axes(parties) -> tuple[int, ...]:
     if len(axes) == 3:
         raise PreconditionViolatedError("parties must be a proper subset of {A,B,C}")
     return axes
+
+
+def _ops_for(party: str, op: np.ndarray) -> list[np.ndarray]:
+    """The product operator that applies ``op`` to one party and the
+    identity to the other two, as the three factors ``apply_local`` takes."""
+    axes = _party_axes(party)
+    if len(axes) != 1:
+        raise PreconditionViolatedError(f"expected one party of A,B,C; got {party!r}")
+    ops = [_EYE, _EYE, _EYE]
+    ops[axes[0]] = op
+    return ops
 
 
 def reduced_density(state: State3Q, parties) -> np.ndarray:

@@ -13,9 +13,9 @@ against.  No code in ``ghzdistill`` calls them.
 import numpy as np
 
 from ghzdistill.decomposition import ProductDecomposition
-from ghzdistill.simulate import _effective_threshold, _ops_for
+from ghzdistill.simulate import _effective_threshold
 from ghzdistill.solver import _balanced_pair, _completeness_residual, _smaller_balance_root
-from ghzdistill.tensor import State3Q, apply_local, normalize
+from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
 from ghzdistill.tolerances import ZERO_OVERLAP as _ZERO_OVERLAP
 

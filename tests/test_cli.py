@@ -146,6 +146,41 @@ def test_off_norm_renormalizes_with_warning(capsys, tmp_path):
     assert doc["result"]["class"] == "GHZClass"
 
 
+def test_overflowing_amplitudes_renormalize(capsys, tmp_path, psi_b_file):
+    # the squared norm of 1e200-sized amplitudes overflows; the file is still
+    # a valid unnormalized state, and the warning gives its true norm
+    f = write_state(tmp_path / "huge.json", 1e200 * np.sqrt(2.0) * PSI_B_AMPS)
+    rc, doc, err = run_cli(capsys, ["distill", f])
+    assert rc == 0
+    assert err == f"warning: {f}: state norm 1.41421e+200 differs from 1; renormalizing\n"
+    _, reference, _ = run_cli(capsys, ["distill", psi_b_file])
+    assert doc["result"]["p_opt"] == pytest.approx(reference["result"]["p_opt"], abs=1e-15)
+
+
+_EIGHT_ZEROS = ", ".join(["[0, 0]"] * 7)
+
+
+@pytest.mark.parametrize("content,code", [
+    (b"\xff\xfe{}", 2),
+    (b"[" * 100_000, 2),
+    (b'{"amps": [[1' + b"0" * 400 + b", 0], " + _EIGHT_ZEROS.encode() + b"]}", 3),
+    (b'{"amps": [[1e400, 0], ' + _EIGHT_ZEROS.encode() + b"]}", 3),
+    (b'{"amps": [[NaN, 0], ' + _EIGHT_ZEROS.encode() + b"]}", 3),
+    (b'{"amps": [[0, -Infinity], ' + _EIGHT_ZEROS.encode() + b"]}", 3),
+    (b'{"amps": ["10", "00", "00", "00", "00", "00", "00", "10"]}', 2),
+    (b'{"amps": [[1, 0, 0], ' + _EIGHT_ZEROS.encode() + b"]}", 2),
+], ids=["non-utf8", "deep-nesting", "401-digit-integer", "1e400", "nan", "infinity",
+        "string-pairs", "triple"])
+def test_bad_state_file_exits_with_one_error_line(capsys, tmp_path, content, code):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, doc, err = run_cli(capsys, ["classify", str(path)])
+    assert rc == code
+    assert doc is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ distill
 
 def test_distill_ghz(capsys, ghz_file):
@@ -268,6 +303,7 @@ def sa_file(tmp_path):
     ("fidelity", "psi_b_file", ["--restarts", "0"]),
     ("audit", "psi_b_file", ["--diagonal-scan", "2"]),
     ("audit", "sa_file", ["--diagonal-scan", "5"]),
+    ("audit", "psi_b_file", ["--povms", "0"]),
 ])
 def test_argument_outside_its_domain_exits_2(capsys, request, command, state, extra):
     rc, doc, err = run_cli(capsys, [command, request.getfixturevalue(state), *extra])

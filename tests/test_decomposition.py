@@ -251,6 +251,17 @@ def test_weights_need_a_finite_ratio():
         decomposition.ProductDecomposition(mu2=1e-320, **fields)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("phi", np.nan), ("a1", [np.nan, 0.0]), ("c2", [0.0, 1j * np.nan]),
+    ("mu1", np.nan), ("sb", np.nan),
+])
+def test_nan_field_is_an_invariant_error(field, value):
+    # every check of the decomposition is written so that a NaN fails it
+    d = make_decomposition(np.random.default_rng(24))
+    with pytest.raises(InvariantViolationError):
+        dataclasses.replace(d, **{field: value})
+
+
 def test_stored_overlap_must_match_vectors_to_povm_precision():
     # build_povms makes the failure operator exact for the stored overlap and
     # checks completeness to 1e-10, which needs the stored and the vectors'

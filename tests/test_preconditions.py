@@ -4,6 +4,7 @@ import pytest
 
 from ghzdistill import (
     PovmTriple,
+    audit_povm,
     basis_state,
     classification_evidence,
     classify,
@@ -13,12 +14,15 @@ from ghzdistill import (
     numeric_rank,
     objective,
     optimal_lu_fidelity,
+    random_povm_pair,
     reduced_density,
     run_protocol,
     scan_diagonal_family,
 )
 from ghzdistill.errors import GhzDistillError, PreconditionViolatedError
+from ghzdistill.fidelity import sampled_fidelity_bound
 from ghzdistill.sampling import vector_with_overlap
+from ghzdistill.solver import grid_search_probability
 from helpers import psi_b
 
 _EYE, _ZERO = np.eye(2), np.zeros((2, 2))
@@ -52,6 +56,15 @@ CASES = {
     "diagonal_family_audit x below range": lambda: diagonal_family_audit(psi_b(), -0.2),
     "objective x 0": lambda: objective(decompose(ghz_state()), 0.0),
     "objective x -1": lambda: objective(decompose(ghz_state()), -1.0),
+    "audit_povm party D": lambda: audit_povm(ghz_state(), random_povm_pair(0), "D"),
+    "audit_povm party AB": lambda: audit_povm(ghz_state(), random_povm_pair(0), "AB"),
+    "grid_search_probability points 0": lambda: grid_search_probability(
+        decompose(ghz_state()), points=0),
+    "grid_search_probability points 1.5": lambda: grid_search_probability(
+        decompose(ghz_state()), points=1.5),
+    "random_povm_pair seed -1": lambda: random_povm_pair(-1),
+    "sampled_fidelity_bound samples 0": lambda: sampled_fidelity_bound(ghz_state(), 0),
+    "sampled_fidelity_bound samples 2.5": lambda: sampled_fidelity_bound(ghz_state(), 2.5),
 }
 
 

@@ -1,6 +1,14 @@
 """Property tests at the class boundaries: near W, near product, mu1 = mu2
 ties and vanishing overlaps.  Every input either ends in a typed
-GhzDistillError or yields POVMs that pass their postconditions."""
+GhzDistillError or yields POVMs that pass their postconditions.  At the
+CLI's input boundary every file ends in a result or in one error line with
+a documented exit code."""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +25,7 @@ from ghzdistill import (
     reconstruct,
     w_state,
 )
+from ghzdistill.cli import main
 from ghzdistill.errors import GhzDistillError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.tensor import fidelity_with
@@ -82,3 +91,48 @@ def test_equal_weights_distill(seed):
 def test_zero_overlaps_distill(pinned, seed):
     d = make_decomposition(np.random.default_rng(seed), **{s: 0.0 for s in pinned})
     check_pipeline(in_random_frame(reconstruct(d), seed), must_distill=True)
+
+
+# ------------------------------------------------------- CLI input boundary
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=9)
+                   | st.dictionaries(st.sampled_from(["amps", "label", "x"]), inner)),
+    max_leaves=24)
+_ODD_ENTRIES = (st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 0.0])
+                | st.integers(-10 ** 400, 10 ** 400) | st.text(max_size=3))
+
+
+def _pair_doc(entries, odd):
+    for i, value in odd:
+        entries[i] = value
+    return {"amps": [entries[i:i + 2] for i in range(0, 16, 2)]}
+
+
+# eight [re, im] pairs of ordinary floats, with up to three entries swapped
+# for NaN, infinities, 1e+-300, 0, huge integers or strings
+_PAIR_DOCS = st.builds(_pair_doc, st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+                       st.lists(st.tuples(st.integers(0, 15), _ODD_ENTRIES), max_size=3))
+_FILES = (st.binary(max_size=64)
+          | _JSON_VALUES.map(lambda v: json.dumps(v).encode())
+          | _PAIR_DOCS.map(lambda v: json.dumps(v).encode()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(content=_FILES, command=st.sampled_from(["classify", "distill"]))
+def test_cli_ends_every_file_in_a_result_or_one_error_line(content, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, path])
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        assert json.loads(out.getvalue())["command"] == command
+    else:
+        assert out.getvalue() == ""
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err.getvalue()

@@ -47,6 +47,18 @@ def test_state_rejects_unnormalized():
         State3Q(np.ones(8))
 
 
+@pytest.mark.parametrize("make", [normalize, State3Q], ids=["normalize", "State3Q"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+def test_non_finite_amplitude_is_an_invariant_error(make, bad):
+    # a comparison written "x > tol" lets NaN through; the value types must
+    # refuse it, and normalize must do so before it divides (the suite turns
+    # any RuntimeWarning into an error)
+    amps = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=complex)
+    amps[3] = bad
+    with pytest.raises(InvariantViolationError):
+        make(amps)
+
+
 def test_state_amps_read_only():
     st = ghz_state()
     with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ from .fidelity import ghz_fidelity, optimal_lu_fidelity
 from .monotone import audit_povm, random_povm_pair, scan_diagonal_family
 from .simulate import run_protocol
 from .solver import build_povms, optimal_probability, optimal_probability_value
-from .tensor import State3Q, check_int, check_tol, normalize, vector_norm
+from .tensor import State3Q, check_int, check_tol, normalize, scaled_norm
 from .tolerances import NORM_WARN_TOL, RANK_TOL
 
 EXIT_OK = 0
@@ -112,19 +112,12 @@ def load_state(path: str) -> tuple[State3Q, str | None]:
     if len(pairs) != 8:
         raise InvariantViolationError(f'{path}: "amps" must have 8 entries, got {len(pairs)}')
     vec = np.array([re + 1j * im for re, im in pairs])
-    # an overflowing norm needs no warning: finite amplitudes are rescaled
-    # below, and normalize refuses a vector with a non-finite entry
-    with np.errstate(over="ignore"):
-        n = float(vector_norm(vec))
-        if n == np.inf and np.isfinite(vec).all():
-            # rescale by the largest modulus of a real or imaginary part
-            top = float(np.max(np.abs(vec.view(np.float64))))
-            vec = vec / top
-            n = top * float(vector_norm(vec))
-        try:
-            state = normalize(vec)
-        except GhzDistillError as e:
-            raise type(e)(f"{path}: {e}") from None
+    try:
+        state = normalize(vec)
+    except GhzDistillError as e:
+        raise type(e)(f"{path}: {e}") from None
+    scale, n = scaled_norm(vec)
+    n *= scale   # the true norm, also where its square overflows
     if abs(n - 1.0) > NORM_WARN_TOL:
         print(f"warning: {path}: state norm {n:.6g} differs from 1; renormalizing",
               file=sys.stderr)

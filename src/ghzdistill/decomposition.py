@@ -106,6 +106,9 @@ class ProductDecomposition:
                 raise InvariantViolationError(
                     f"stored overlap {name}={s!r} disagrees with vectors ({o!r})"
                 )
+        # np.cos of an infinite phi warns before the identity could fail
+        if not abs(self.phi) < np.inf:
+            raise InvariantViolationError(f"phase phi={self.phi!r} is not finite")
         norm2 = (self.mu1 ** 2 + self.mu2 ** 2
                  + 2.0 * self.mu1 * self.mu2 * np.cos(self.phi)
                  * self.sa * self.sb * self.sc)

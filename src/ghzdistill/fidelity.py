@@ -16,15 +16,27 @@ with no SVD:
     U = (E^dag + e^{-i theta} adj(E)) / s,   s = sqrt(|E|_F^2 + 2 |det E|),
 
 where theta = arg det E and adj([[a, b], [c, d]]) = [[d, -b], [-c, a]];
-then tr(U E) = s, and the sweep's F is s^2.  When det E = 0 (E of rank 1) every unit phase
-gives an optimal unitary and the phase is taken as 1; when E = 0 every
-unitary is optimal and U is the identity.  The maximization alternates
-these block updates over the parties (as for the geometric measure of
-entanglement, Wei & Goldbart, quant-ph/0307219) from a number of random
-starts plus the identity start (which guarantees F >= |<GHZ|psi>|^2), all
-starts as one batch.  No update lowers F.  ``_fidelity_and_grad`` gives F
-and its gradient in the nine angles, a first-order optimality certificate
-at the returned angles.
+then tr(U E) = s, and the sweep's F is s^2.  When det E = 0 (E of rank 1)
+every unit phase gives an optimal unitary and the phase is taken as 1;
+when E = 0 every unitary is optimal and U is the identity.  The
+maximization alternates these block updates over the parties (as for the
+geometric measure of entanglement, Wei & Goldbart, quant-ph/0307219) from
+a number of random starts plus the identity start (which guarantees
+F >= |<GHZ|psi>|^2), all starts as one batch.  No update lowers F.
+``_fidelity_and_grad`` gives F and its gradient in the nine angles, a
+first-order optimality certificate at the returned angles.
+
+The sweep works on a flat layout.  A stack of R unitaries is an (R, 4)
+array, row r holding U_r in C order (U[i, j] at 2i + j), and a stack of
+environments holds G = E^T in the same order (G[i, j] = E[j, i]).  Then
+
+    tr(U E) = sum_ij U[i, j] G[i, j],   the elementwise product U o G summed,
+
+E^dag is conj(G), det E = g0 g3 - g1 g2, and adj(E) is G reversed times
+the signs (1, -1, -1, 1).  Each party's G is one matmul: row (r, i) of the
+Kronecker rows u1[r, i, :] (x) u2[r, i, :] of the other two parties'
+unitaries times the party's (4, 2) unfolding P[(k, m), j] = psi[j, k, m]
+/ sqrt(2), psi having that party's axis first.
 """
 from __future__ import annotations
 
@@ -33,11 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import _haar_from_ginibre
-from .tensor import State3Q, check_int, fidelity_with, ghz_state
+from .tensor import State3Q, check_int, fidelity_with, ghz_state, unfoldings
 from .tolerances import MAX_SWEEPS, SWEEP_TOL, TIE_MARGIN
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_ONES8 = np.ones(8)
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -99,11 +112,24 @@ def zyz_angles(u: np.ndarray) -> np.ndarray:
     return np.stack([s - d, b, -s - d], axis=-1)
 
 
-def _environment(u1: np.ndarray, u2: np.ndarray, psi_p: np.ndarray) -> np.ndarray:
-    """Environment matrices E of the party whose axis leads psi_p, given
-    the stacks u1, u2 of the other two parties' unitaries (in axis order):
-    the GHZ overlap is tr(U E) for that party's unitary U."""
-    return np.einsum("rik,rim,jkm->rji", u1, u2, psi_p) * _SQRT_HALF
+def _ghz_unfoldings(psi: np.ndarray) -> np.ndarray:
+    """The unfoldings of the parties A, B, C transposed and scaled by the GHZ
+    amplitude: P[(k, m), j] = psi_p[j, k, m] / sqrt(2), psi_p having party
+    p's axis first; shape (3, 4, 2)."""
+    return unfoldings(psi).transpose(0, 2, 1) * _SQRT_HALF
+
+
+def _environment(u1: np.ndarray, u2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Environments of the party with unfolding p, given the flat stacks
+    u1, u2 (R, 4) of the other two parties' unitaries (in axis order).
+
+    Each is returned flat as G = E^T, shape (R, 4), so that the GHZ overlap
+    tr(U E) is the sum of the elementwise product of U and G: row (r, i)
+    of the Kronecker rows u1[r, i, :] (x) u2[r, i, :] times p is G[r, i, :].
+    """
+    r = len(u1)
+    return np.dot((u1.reshape(r, 2, 2, 1) * u2.reshape(r, 2, 1, 2)).reshape(2 * r, 4),
+                  p).reshape(r, 4)
 
 
 def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -114,41 +140,45 @@ def _fidelity_and_grad(theta: np.ndarray, psi: np.ndarray) -> tuple[float, np.nd
     dU/db = su2((a, b + pi, c))/2 and dU/dc = -i/2 U Z.
     """
     ang = np.asarray(theta, dtype=np.float64).reshape(3, 3)
-    u = su2(ang)      # slices u[p:p + 1] are the stacks of one that _environment takes
-    env = np.concatenate([_environment(u[1:2], u[2:3], psi),
-                          _environment(u[0:1], u[2:3], psi.transpose(1, 0, 2)),
-                          _environment(u[0:1], u[1:2], psi.transpose(2, 0, 1))])
+    u = su2(ang)
+    flat = u.reshape(3, 4)    # slices flat[p:p + 1] are the stacks of one that _environment takes
+    pa, pb, pc = _ghz_unfoldings(psi)
+    g = np.concatenate([_environment(flat[1:2], flat[2:3], pa),
+                        _environment(flat[0:1], flat[2:3], pb),
+                        _environment(flat[0:1], flat[1:2], pc)])
     du = np.stack([-0.5j * _SZ @ u, 0.5 * su2(ang + [0.0, np.pi, 0.0]), -0.5j * u @ _SZ],
-                  axis=1)
-    o = np.trace(u[0] @ env[0])
-    do = np.einsum("pkij,pji->pk", du, env)
+                  axis=1).reshape(3, 3, 4)
+    o = np.sum(flat[0] * g[0])
+    do = np.sum(du * g[:, np.newaxis, :], axis=-1)
     return float(abs(o) ** 2), (2.0 * np.real(np.conj(o) * do)).ravel()
 
 
-def _polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each E = W S V^dag of the stack, the unitary V W^dag maximizing
-    |tr(U E)|, and that maximum s, the sum of the singular values S.
+def _polar_update(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each environment E = W S V^dag of the stack, given flat as
+    G = E^T (R, 4), the unitary V W^dag maximizing |tr(U E)|, flat (R, 4),
+    and that maximum s, the sum of the singular values S.
 
     Closed form, elementwise over the stack: U = (E^dag + e^{-i theta}
     adj(E)) / s with theta = arg det E and s = sqrt(|E|_F^2 + 2 |det E|),
-    so that tr(U E) = s.  det E = 0 takes the phase 1 (every unit phase is
-    optimal for a rank-1 E), and E = 0 takes the identity.
+    so that tr(U E) = s.  On the flat layout E^dag is conj(G), adj(E) is
+    G reversed times (1, -1, -1, 1) and det E = g0 g3 - g1 g2.  det E = 0
+    takes the phase 1 (every unit phase is optimal for a rank-1 E), and
+    E = 0 takes the identity.
     """
-    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
     r = np.abs(det)
-    re_im = e.reshape(len(e), 4).view(np.float64)
-    s = np.sqrt(np.einsum("ri,ri->r", re_im, re_im) + 2.0 * r)
+    re_im = g.view(np.float64)
+    # |E|_F^2 as the row sums of the squared parts, one matmul (fewer calls than .sum)
+    s = np.sqrt(np.dot(re_im * re_im, _ONES8) + 2.0 * r)
     full_rank = r.all()
     if full_rank:
         ph, scale = np.conj(det) / r, s
     else:   # the guarded forms cost more, so only a det exactly 0 takes them
         ph = np.divide(np.conj(det), r, out=np.ones_like(det), where=r > 0.0)
         scale = np.where(s > 0.0, s, 1.0)
-    # E^dag + ph adj(E) is the transpose of conj(E) + ph [[d, -c], [-b, a]]
-    u = np.swapaxes(np.conj(e) + ph[:, None, None] * (e[:, ::-1, ::-1] * _ADJ_SIGN),
-                    1, 2) / scale[:, None, None]
+    u = (np.conj(g) + ph[:, np.newaxis] * (g[:, ::-1] * _ADJ_SIGN)) / scale[:, np.newaxis]
     if not full_rank:
-        u[s == 0.0] = np.eye(2)
+        u[s == 0.0] = (1.0, 0.0, 0.0, 1.0)   # the identity, flat
     return u, s
 
 
@@ -163,19 +193,19 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
     """
     check_int("restarts", restarts, 1)
     check_int("seed", seed, 0)
-    psi = state.tensor
     rng = np.random.default_rng(seed)
     theta = np.vstack([np.zeros(9), rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 9))])
-    ua, ub, uc = (su2(theta[:, 3 * p: 3 * p + 3]) for p in range(3))
-    psi_b, psi_c = psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)
+    # flat (R, 4) stacks of the three parties' start unitaries
+    ua, ub, uc = su2(theta.reshape(-1, 3, 3)).reshape(-1, 3, 4).transpose(1, 0, 2)
+    pa, pb, pc = _ghz_unfoldings(state.tensor)
     f = np.zeros(restarts + 1)
     # no update lowers F, so MAX_SWEEPS only bounds the sublinear near-W tail
     for _ in range(MAX_SWEEPS):
-        ua, _ = _polar_update(_environment(ub, uc, psi))
-        ub, _ = _polar_update(_environment(ua, uc, psi_b))
-        uc, overlap = _polar_update(_environment(ua, ub, psi_c))
+        ua, _ = _polar_update(_environment(ub, uc, pa))
+        ub, _ = _polar_update(_environment(ua, uc, pb))
+        uc, overlap = _polar_update(_environment(ua, ub, pc))
         f_prev, f = f, overlap * overlap
-        if np.max(f - f_prev) <= SWEEP_TOL:
+        if (f - f_prev).max() <= SWEEP_TOL:
             break
 
     best_f, best = ghz_fidelity(state), None
@@ -183,7 +213,7 @@ def optimal_lu_fidelity(state: State3Q, restarts: int = 32,
         if fi > best_f + TIE_MARGIN:
             best_f, best = float(fi), i
     angles = (np.zeros((3, 3)) if best is None
-              else zyz_angles(np.stack([ua[best], ub[best], uc[best]])))
+              else zyz_angles(np.stack([ua[best], ub[best], uc[best]]).reshape(3, 2, 2)))
     return best_f, LocalUnitaryTriple(angles)
 
 
@@ -192,12 +222,13 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
     bound on optimal_lu_fidelity used as an independent cross-check.
 
     The search draws Haar unitaries per party and evaluates
-    |tr(U_A E_A)|^2 with Alice's environment E_A, fully vectorized.
+    |tr(U_A E_A)|^2 with Alice's environment E_A, fully vectorized, in the
+    flat layout of the sweep.
     """
     check_int("samples", samples, 1)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    psi = state.tensor
+    pa = _ghz_unfoldings(state.tensor)[0]
     best = 0.0
     chunk = 200_000
     left = samples
@@ -205,7 +236,8 @@ def sampled_fidelity_bound(state: State3Q, samples: int, seed: int = 0) -> float
         n = min(chunk, left)
         left -= n
         cols = [_haar_from_ginibre(rng.normal(size=(n, 2, 2))
-                                   + 1j * rng.normal(size=(n, 2, 2))) for _ in range(3)]
-        f = np.abs(np.einsum("sij,sji->s", cols[0], _environment(cols[1], cols[2], psi))) ** 2
+                                   + 1j * rng.normal(size=(n, 2, 2))).reshape(n, 4)
+                for _ in range(3)]
+        f = np.abs(np.sum(cols[0] * _environment(cols[1], cols[2], pa), axis=1)) ** 2
         best = max(best, float(f.max()))
     return best

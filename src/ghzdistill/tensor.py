@@ -49,19 +49,38 @@ def vector_norm(v: np.ndarray) -> np.float64:
     return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
+def scaled_norm(v: np.ndarray) -> tuple[float, float]:
+    """(scale, n) with the Euclidean norm of the 1-D complex vector v equal
+    to scale * n, n being the norm of v / scale.
+
+    scale is 1.0 unless the squared norm of a finite v overflows; then it is
+    the largest modulus of a real or imaginary part of v, so n is finite
+    for every finite v.  A finite norm keeps the bits of ``vector_norm``.
+    """
+    with np.errstate(over="ignore"):
+        n = float(vector_norm(v))
+    if n == np.inf and np.isfinite(v).all():
+        top = float(np.max(np.abs(v.view(np.float64))))
+        return top, float(vector_norm(v / top))
+    return 1.0, n
+
+
 def normalize(raw) -> State3Q:
     """Scale an 8-component amplitude vector to unit norm.
 
-    Raises InvariantViolationError when the norm is not finite (a NaN or
-    infinite entry), before any division, and ZeroVectorError when it is at
-    or below ZERO_NORM.
+    A finite vector whose squared norm overflows is rescaled first (see
+    ``scaled_norm``).  Raises InvariantViolationError when the norm is not
+    finite (a NaN or infinite entry), before any division, and
+    ZeroVectorError when it is at or below ZERO_NORM.
     """
     a = np.asarray(raw, dtype=np.complex128).reshape(8)
-    n = float(vector_norm(a))
+    scale, n = scaled_norm(a)
     if not n < np.inf:
         raise InvariantViolationError(f"cannot normalize a vector of norm {n!r}")
     if n <= ZERO_NORM:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+    if scale != 1.0:
+        a = a / scale
     return State3Q(a / n)
 
 
@@ -126,6 +145,13 @@ def reduced_density(state: State3Q, parties) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
+def unfoldings(psi: np.ndarray) -> np.ndarray:
+    """The (2, 4) unfoldings of a (2, 2, 2) tensor for the parties A, B, C,
+    each with the party's axis first and the other two in order; shape
+    (3, 2, 4)."""
+    return np.stack([psi, psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)]).reshape(3, 2, 4)
+
+
 def local_spectra(state: State3Q) -> np.ndarray:
     """Ascending eigenvalues of the single-party reductions of A, B and C,
     shape (3, 2).
@@ -136,8 +162,7 @@ def local_spectra(state: State3Q) -> np.ndarray:
     have the same bits (an einsum Gram would change them); the three Grams
     are formed and diagonalized as one stack.
     """
-    psi = state.tensor
-    u = np.stack([psi, psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)]).reshape(3, 2, 4)
+    u = unfoldings(state.tensor)
     return np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1))
 
 

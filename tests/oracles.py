@@ -9,14 +9,24 @@ against.  No code in ``ghzdistill`` calls them.
 - ``svd_polar_update``: the polar factors of a stack of 2x2 matrices by
   LAPACK SVD, the oracle of the closed form of
   ``ghzdistill.fidelity._polar_update``.
+- ``einsum_environment``: the environment matrices of the LU-fidelity sweep
+  by one three-operand einsum, the oracle of the flat matmul of
+  ``ghzdistill.fidelity._environment``.
+- ``reference_lu_fidelity``: the LU fidelity by sweeps of those two, with
+  the starts, stopping rule and tie rule of
+  ``ghzdistill.fidelity.optimal_lu_fidelity``.
 """
 import numpy as np
 
 from ghzdistill.decomposition import ProductDecomposition
+from ghzdistill.fidelity import ghz_fidelity, su2
 from ghzdistill.simulate import _effective_threshold
 from ghzdistill.solver import _balanced_pair, _completeness_residual, _smaller_balance_root
 from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
+from ghzdistill.tolerances import MAX_SWEEPS as _MAX_SWEEPS
+from ghzdistill.tolerances import SWEEP_TOL as _SWEEP_TOL
+from ghzdistill.tolerances import TIE_MARGIN as _TIE_MARGIN
 from ghzdistill.tolerances import ZERO_OVERLAP as _ZERO_OVERLAP
 
 _INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
@@ -187,3 +197,36 @@ def svd_polar_update(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |tr(U E)|, and that maximum, the sum of the singular values S."""
     w, s, vh = np.linalg.svd(e)
     return np.conj(np.swapaxes(w @ vh, -1, -2)), s.sum(axis=-1)
+
+
+# ------------------------------------------------------------- LU fidelity
+
+def einsum_environment(u1: np.ndarray, u2: np.ndarray, psi_p: np.ndarray) -> np.ndarray:
+    """Environment matrices E (R, 2, 2) of the party whose axis leads psi_p,
+    given the stacks u1, u2 (R, 2, 2) of the other two parties' unitaries
+    (in axis order): the GHZ overlap is tr(U E) for that party's unitary U."""
+    return np.einsum("rik,rim,jkm->rji", u1, u2, psi_p) * np.sqrt(0.5)
+
+
+def reference_lu_fidelity(state: State3Q, restarts: int, seed: int) -> float:
+    """The F of ``optimal_lu_fidelity`` by (R, 2, 2) stacks, einsum
+    environments and SVD polar factors, from the same starts, with the same
+    stopping rule and the same tie rule."""
+    rng = np.random.default_rng(seed)
+    theta = np.vstack([np.zeros(9), rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 9))])
+    ua, ub, uc = (su2(theta[:, 3 * p: 3 * p + 3]) for p in range(3))
+    psi = state.tensor
+    psi_b, psi_c = psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)
+    f = np.zeros(restarts + 1)
+    for _ in range(_MAX_SWEEPS):
+        ua, _ = svd_polar_update(einsum_environment(ub, uc, psi))
+        ub, _ = svd_polar_update(einsum_environment(ua, uc, psi_b))
+        uc, s = svd_polar_update(einsum_environment(ua, ub, psi_c))
+        f_prev, f = f, s * s
+        if np.max(f - f_prev) <= _SWEEP_TOL:
+            break
+    best_f = ghz_fidelity(state)
+    for fi in f:
+        if fi > best_f + _TIE_MARGIN:
+            best_f = float(fi)
+    return best_f

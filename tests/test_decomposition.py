@@ -253,7 +253,7 @@ def test_weights_need_a_finite_ratio():
 
 @pytest.mark.parametrize("field,value", [
     ("phi", np.nan), ("a1", [np.nan, 0.0]), ("c2", [0.0, 1j * np.nan]),
-    ("mu1", np.nan), ("sb", np.nan),
+    ("mu1", np.nan), ("sb", np.nan), ("phi", np.inf), ("phi", -np.inf),
 ])
 def test_nan_field_is_an_invariant_error(field, value):
     # every check of the decomposition is written so that a NaN fails it

@@ -13,22 +13,26 @@ from ghzdistill import (
     w_state,
 )
 from ghzdistill.fidelity import (
+    _environment,
     _fidelity_and_grad,
+    _ghz_unfoldings,
     _polar_update,
     sampled_fidelity_bound,
     su2,
     zyz_angles,
 )
 from ghzdistill.sampling import (
+    _haar_from_ginibre,
     apply_local_unitaries,
+    crandn,
     haar_state,
     haar_unitary,
     random_local_unitaries,
 )
-from ghzdistill.tensor import basis_state
+from ghzdistill.tensor import basis_state, normalize
 from ghzdistill.tolerances import MAX_SWEEPS
 from helpers import random_ghz_state
-from oracles import svd_polar_update
+from oracles import einsum_environment, reference_lu_fidelity, svd_polar_update
 
 
 def test_ghz_fidelity_examples():
@@ -186,9 +190,12 @@ def test_closed_form_polar_update_matches_the_svd_oracle(make):
     e = make(np.random.default_rng(14))
     if make is _rank_one_stack:
         assert np.all(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] == 0.0)
+    # the kernel takes each E flat as G = E^T and returns each U flat
+    g = e.transpose(0, 2, 1).reshape(len(e), 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        u, s = _polar_update(e)
+        u, s = _polar_update(g)
+    u = u.reshape(e.shape)
     _, s_svd = svd_polar_update(e)
     ulp = 8.0 * np.finfo(np.float64).eps * s
     np.testing.assert_allclose(np.conj(np.swapaxes(u, 1, 2)) @ u,
@@ -199,6 +206,37 @@ def test_closed_form_polar_update_matches_the_svd_oracle(make):
     assert np.all(np.abs(s - s_svd) <= ulp)
     if not s.any():
         np.testing.assert_array_equal(u, np.broadcast_to(np.eye(2), e.shape))
+
+
+@pytest.mark.parametrize("r", [1, 9, 33, 5000])
+def test_flat_environment_matches_the_einsum_oracle(r):
+    rng = np.random.default_rng(17)
+    psi = haar_state(rng).tensor
+    u = _haar_from_ginibre(crandn(rng, (3, r, 2, 2)))
+    flat = u.reshape(3, r, 4)
+    psi_p = [psi, psi.transpose(1, 0, 2), psi.transpose(2, 0, 1)]
+    for p, (i, j) in enumerate([(1, 2), (0, 2), (0, 1)]):
+        g = _environment(flat[i], flat[j], _ghz_unfoldings(psi)[p])
+        # G is E^T, flattened; the entries of E are at most 1 in modulus
+        np.testing.assert_allclose(g.reshape(r, 2, 2).transpose(0, 2, 1),
+                                   einsum_environment(u[i], u[j], psi_p[p]),
+                                   rtol=0.0, atol=4.0 * np.finfo(np.float64).eps)
+
+
+REFERENCE_STATES = {
+    "haar": lambda: [haar_state(np.random.default_rng(18)) for _ in range(24)],
+    "GHZ": lambda: [ghz_state()],
+    "W": lambda: [w_state()],
+    "|000>": lambda: [basis_state("000")],
+    "W+1e-4 GHZ": lambda: [normalize(w_state().amps + 1e-4 * ghz_state().amps)],
+}
+
+
+@pytest.mark.parametrize("make", REFERENCE_STATES.values(), ids=REFERENCE_STATES.keys())
+def test_sweep_matches_the_reference_route(make):
+    for st in make():
+        f, _ = optimal_lu_fidelity(st, restarts=8, seed=19)
+        assert abs(f - reference_lu_fidelity(st, restarts=8, seed=19)) <= 1e-14
 
 
 def test_sweeps_stop_well_short_of_the_cap(monkeypatch):

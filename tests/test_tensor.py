@@ -23,6 +23,7 @@ from ghzdistill.sampling import (
     haar_unitary,
     vector_with_overlap,
 )
+from ghzdistill.tensor import scaled_norm, vector_norm
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -57,6 +58,25 @@ def test_non_finite_amplitude_is_an_invariant_error(make, bad):
     amps[3] = bad
     with pytest.raises(InvariantViolationError):
         make(amps)
+
+
+@pytest.mark.parametrize("big", [1e160, 1e200, 1.7e308])
+def test_normalize_rescales_a_vector_whose_squared_norm_overflows(big):
+    # the vector is finite and so has a direction; normalize must find it
+    # without an overflow RuntimeWarning (an error in the suite)
+    amps = np.array([0.5, 0.5j, 0, 0, -1, 0, 0, 0.5 + 0.5j])
+    assert_allclose(normalize(big * amps).amps, normalize(amps).amps, rtol=0, atol=1e-15)
+    # the norm is scale * n, with n finite even where the norm itself is not
+    scale, n = scaled_norm(big * amps)
+    assert scale == big
+    assert n == pytest.approx(vector_norm(amps), rel=1e-15)
+
+
+def test_normalize_keeps_the_bits_of_a_finite_norm():
+    rng = np.random.default_rng(25)
+    for size in (1e-3, 1.0, 1e150):
+        v = size * (rng.normal(size=8) + 1j * rng.normal(size=8))
+        np.testing.assert_array_equal(normalize(v).amps, v / vector_norm(v))
 
 
 def test_state_amps_read_only():

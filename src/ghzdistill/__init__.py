@@ -23,11 +23,7 @@ from .monotone import (
     random_povm_pair,
     scan_diagonal_family,
 )
-from .simulate import (
-    SimulationReport,
-    exact_branch_probability,
-    run_protocol,
-)
+from .simulate import SimulationReport, run_protocol
 from .solver import (
     OsbpSolution,
     PovmTriple,
@@ -36,7 +32,6 @@ from .solver import (
     closed_form_one_site,
     closed_form_two_sites,
     grid_search_probability,
-    objective,
     optimal_probability,
     optimal_probability_value,
 )
@@ -46,9 +41,6 @@ from .tensor import (
     basis_state,
     ghz_state,
     normalize,
-    numeric_rank,
-    overlap,
-    reduced_density,
     w_state,
 )
 
@@ -76,20 +68,15 @@ __all__ = [
     "decompose",
     "diagonal_family_audit",
     "dual_basis",
-    "exact_branch_probability",
     "ghz_fidelity",
     "ghz_state",
     "grid_search_probability",
     "normalize",
-    "numeric_rank",
-    "objective",
     "optimal_lu_fidelity",
     "optimal_probability",
     "optimal_probability_value",
-    "overlap",
     "random_povm_pair",
     "reconstruct",
-    "reduced_density",
     "run_protocol",
     "scan_diagonal_family",
     "w_state",

@@ -11,11 +11,12 @@ envelope to stdout:
 Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
 stderr.  Exit codes: 0 success; 2 PreconditionViolatedError: an unreadable,
-non-UTF-8 or malformed file, or an argument outside its domain (``--tol``,
-``--seed`` below 0, ``--trials 0``, a diagonal scan of a state with sa > 0);
-3 any other package error, a non-finite amplitude included; 4
-NotGHZClassError (distillation impossible at ``--tol``).  An unnormalized
-state is renormalized with a warning, overflowing amplitudes included.
+non-UTF-8 or malformed file, or an argument outside its domain (``--tol``
+outside (0, 1), ``--seed`` below 0, ``--trials 0``, a diagonal scan of a
+state with sa > 0); 3 any other package error, a non-finite amplitude
+included; 4 NotGHZClassError (distillation impossible at ``--tol``).  An
+unnormalized state is renormalized with a warning, overflowing amplitudes
+included.
 """
 from __future__ import annotations
 
@@ -99,7 +100,8 @@ def load_state(path: str) -> tuple[State3Q, str | None]:
         raise PreconditionViolatedError(f"malformed JSON in {path}: {e}")
     amps = doc.get("amps") if isinstance(doc, dict) else None
     if not (isinstance(amps, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(v, (int, float)) for v in p)
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
             for p in amps)):
         raise PreconditionViolatedError(f'{path}: "amps" must be a list of [re, im] number pairs')
     label = doc.get("label")
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("state_file", help="JSON state file with 8 [re, im] amplitude pairs")
     common.add_argument("--tol", type=float, default=RANK_TOL,
-                        help="relative rank tolerance (default %(default)g)")
+                        help="relative rank tolerance in (0, 1) (default %(default)g)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed (>= 0) for every stochastic component (default 0)")
     common.add_argument("--pretty", action="store_true",

@@ -48,7 +48,7 @@ class ParallelVectorsError(GhzDistillError, ValueError):
 
 class PreconditionViolatedError(GhzDistillError, ValueError):
     """A caller's argument lies outside the operation's documented domain:
-    a count below its minimum, a ``tol`` that is not finite and positive, a
-    bit string, party set, overlap or x out of range, a closed form outside
-    its family, or a POVM that is not complete or not a contraction; in the
-    CLI also a state file it cannot read or decode.  CLI exit 2."""
+    a count below its minimum, a ``tol`` outside (0, 1), a bit string,
+    party name, overlap or x out of range, a closed form outside its
+    family, or a POVM that is not complete or not a contraction; in the CLI
+    also a state file it cannot read or decode.  CLI exit 2."""

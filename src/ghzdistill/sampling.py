@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .tensor import State3Q, normalize, vector_norm
+from .tensor import State3Q, apply_local, normalize, vector_norm
 
 
 def crandn(rng: np.random.Generator, size) -> np.ndarray:
@@ -45,8 +45,7 @@ def random_local_unitaries(rng: np.random.Generator) -> tuple[np.ndarray, np.nda
 
 
 def apply_local_unitaries(state: State3Q, ua, ub, uc) -> State3Q:
-    raw = np.einsum("ij,kl,mn,jln->ikm", ua, ub, uc, state.tensor).reshape(8)
-    return normalize(raw)
+    return normalize(apply_local(state, ua, ub, uc)[0])
 
 
 def vector_with_overlap(rng: np.random.Generator, v1: np.ndarray, s: float) -> np.ndarray:

@@ -58,12 +58,6 @@ def _effective_threshold(p0: float) -> float:
     return p0
 
 
-def exact_branch_probability(state: State3Q, povms: PovmTriple) -> float:
-    """Probability of the all-success branch, computed analytically."""
-    _, p = apply_local(state, povms.success_a, povms.success_b, povms.success_c)
-    return p
-
-
 def trial_uniforms(seed: int, trials: int) -> np.ndarray:
     """The (trials, 3) uniform block a run with this seed consumes."""
     return np.random.default_rng(seed).random((trials, 3))

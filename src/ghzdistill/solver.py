@@ -174,13 +174,6 @@ def _rising(d: ProductDecomposition, x: float) -> bool:
     return bool(h1 * r2 + h2 * r1 < 0.0)
 
 
-def objective(d: ProductDecomposition, x: float) -> float:
-    """Branch-probability objective of the 1-D reduction, at x > 0."""
-    if not x > 0.0:
-        raise PreconditionViolatedError(f"objective requires x > 0, got {x!r}")
-    return float(_objective(d, float(x)))
-
-
 def grid_search_probability(d: ProductDecomposition,
                             points: int = 100_000) -> tuple[float, float]:
     """Best (value, x) over a logarithmic grid of ``points`` x values on

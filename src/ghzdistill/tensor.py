@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, PreconditionViolatedError, ZeroVectorError
-from .tolerances import NORM_ATOL, RANK_TOL, ZERO_NORM
+from .tolerances import NORM_ATOL, ZERO_NORM
 
 _AXIS = {"A": 0, "B": 1, "C": 2}
 _EYE = np.eye(2, dtype=np.complex128)
@@ -109,40 +109,14 @@ def basis_state(bits: str) -> State3Q:
     return State3Q(a)
 
 
-def _party_axes(parties) -> tuple[int, ...]:
-    names = list(parties)
-    if not names or any(p not in _AXIS for p in names) or len(set(names)) != len(names):
-        raise PreconditionViolatedError(
-            f"parties must be a nonempty subset of A,B,C; got {parties!r}")
-    axes = tuple(sorted(_AXIS[p] for p in names))
-    if len(axes) == 3:
-        raise PreconditionViolatedError("parties must be a proper subset of {A,B,C}")
-    return axes
-
-
 def _ops_for(party: str, op: np.ndarray) -> list[np.ndarray]:
     """The product operator that applies ``op`` to one party and the
     identity to the other two, as the three factors ``apply_local`` takes."""
-    axes = _party_axes(party)
-    if len(axes) != 1:
+    if not (isinstance(party, str) and party in _AXIS):
         raise PreconditionViolatedError(f"expected one party of A,B,C; got {party!r}")
     ops = [_EYE, _EYE, _EYE]
-    ops[axes[0]] = op
+    ops[_AXIS[party]] = op
     return ops
-
-
-def reduced_density(state: State3Q, parties) -> np.ndarray:
-    """Reduced density matrix of the given parties (trace out the rest).
-
-    ``parties`` is a string like "A" or "BC" (order-insensitive) or an
-    iterable of party names.  Kept parties appear in A < B < C order.
-    """
-    keep = _party_axes(parties)
-    out = [ax for ax in range(3) if ax not in keep]
-    psi = state.tensor
-    rho = np.tensordot(psi, psi.conj(), axes=(out, out))
-    dim = 2 ** len(keep)
-    return rho.reshape(dim, dim)
 
 
 def unfoldings(psi: np.ndarray) -> np.ndarray:
@@ -158,7 +132,8 @@ def local_spectra(state: State3Q) -> np.ndarray:
 
     Each reduction is the Gram matrix U U^dag of the party's (2, 4)
     unfolding U of the tensor (the party's axis first, the other two in
-    order), the same product ``reduced_density`` forms, so the eigenvalues
+    order), the same product that the independent partial trace
+    ``reduced_density`` of ``tests/oracles.py`` forms, so the eigenvalues
     have the same bits (an einsum Gram would change them); the three Grams
     are formed and diagonalized as one stack.
     """
@@ -175,21 +150,18 @@ def spectral_ranks(ev: np.ndarray, tol: float) -> np.ndarray:
 
 
 def check_tol(tol: float) -> None:
-    """Raise PreconditionViolatedError unless ``tol`` is finite and positive."""
-    if not 0.0 < tol < np.inf:
-        raise PreconditionViolatedError(f"tol must be finite and positive, got {tol!r}")
+    """Raise PreconditionViolatedError unless 0 < ``tol`` < 1.
+
+    A relative rank cut of 1 or more counts no eigenvalue, not even the
+    largest, so every local rank would read 0."""
+    if not 0.0 < tol < 1.0:
+        raise PreconditionViolatedError(f"tol must lie in (0, 1), got {tol!r}")
 
 
 def check_int(name: str, value: int, low: int) -> None:
     """Raise PreconditionViolatedError unless ``value`` is an integer >= low."""
     if not isinstance(value, numbers.Integral) or value < low:
         raise PreconditionViolatedError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def numeric_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above tol * (largest eigenvalue)."""
-    check_tol(tol)
-    return int(spectral_ranks(np.linalg.eigvalsh(m), tol))
 
 
 def apply_local(state: State3Q, op_a: np.ndarray, op_b: np.ndarray,
@@ -209,11 +181,6 @@ def apply_local(state: State3Q, op_a: np.ndarray, op_b: np.ndarray,
     m = np.einsum("ij,kl,mn,jln->ikm", ea, eb, ec, psi)
     p = float(np.real(np.vdot(psi, m)))
     return raw, p
-
-
-def overlap(s1: State3Q, s2: State3Q) -> complex:
-    """Inner product <s1|s2>."""
-    return complex(np.vdot(s1.amps, s2.amps))
 
 
 def fidelity_with(s1: State3Q, s2: State3Q) -> float:

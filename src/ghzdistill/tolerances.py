@@ -8,7 +8,7 @@ writes a float literal in (0, 1e-5].
 
 Classification and decomposition
 
-RANK_TOL = 1e-10  (tensor, decomposition, monotone, cli)
+RANK_TOL = 1e-10  (decomposition, monotone, cli)
     an eigenvalue above RANK_TOL x the largest adds to a local rank; the
     default of every public ``tol`` and of the CLI's ``--tol``
 COARSE_RANK_FACTOR = 1e3  (decomposition)

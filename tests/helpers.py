@@ -1,7 +1,7 @@
 """Shared state and decomposition builders for the test-suite."""
 import numpy as np
 
-from ghzdistill import EntanglementClass, ProductDecomposition, classify, normalize
+from ghzdistill import EntanglementClass, ProductDecomposition, apply_local, classify, normalize
 from ghzdistill.sampling import haar_local_vector, haar_state, vector_with_overlap
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -13,6 +13,11 @@ PSI_B_AMPS = np.array([1, 0, 0, 0, 0, 0, 0.6, 0.8]) / np.sqrt(2.0)
 
 def psi_b():
     return normalize(PSI_B_AMPS)
+
+
+def exact_branch_probability(state, povms):
+    """Probability of the all-success branch of a PovmTriple."""
+    return apply_local(state, povms.success_a, povms.success_b, povms.success_c)[1]
 
 
 def random_ghz_state(rng):

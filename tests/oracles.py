@@ -15,6 +15,10 @@ against.  No code in ``ghzdistill`` calls them.
 - ``reference_lu_fidelity``: the LU fidelity by sweeps of those two, with
   the starts, stopping rule and tie rule of
   ``ghzdistill.fidelity.optimal_lu_fidelity``.
+- ``reduced_density``: the reduced density matrix of any proper subset of
+  the parties by a partial trace, the oracle of the stacked Grams of
+  ``ghzdistill.tensor.local_spectra`` and of the local ranks of
+  ``ghzdistill.classification_evidence``.
 """
 import numpy as np
 
@@ -230,3 +234,16 @@ def reference_lu_fidelity(state: State3Q, restarts: int, seed: int) -> float:
         if fi > best_f + _TIE_MARGIN:
             best_f = float(fi)
     return best_f
+
+
+# ------------------------------------------------------------ partial trace
+
+def reduced_density(state: State3Q, parties: str) -> np.ndarray:
+    """Reduced density matrix of the given parties, a string such as "A" or
+    "BC" (trace out the rest); kept parties appear in A < B < C order."""
+    keep = sorted("ABC".index(p) for p in parties)
+    out = [ax for ax in range(3) if ax not in keep]
+    psi = state.tensor
+    rho = np.tensordot(psi, psi.conj(), axes=(out, out))
+    dim = 2 ** len(keep)
+    return rho.reshape(dim, dim)

@@ -25,17 +25,15 @@ from ghzdistill import (
     optimal_probability_value,
     random_povm_pair,
     reconstruct,
-    reduced_density,
     run_protocol,
     scan_diagonal_family,
 )
 from ghzdistill.cli import main
 from ghzdistill.fidelity import _fidelity_and_grad, sampled_fidelity_bound
 from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_unitaries
-from ghzdistill.simulate import exact_branch_probability
 from ghzdistill.tensor import basis_state, fidelity_with
-from helpers import make_decomposition, random_ghz_state
-from oracles import solve_coefficients
+from helpers import exact_branch_probability, make_decomposition, random_ghz_state
+from oracles import reduced_density, solve_coefficients
 from test_cli import parse_matrix, write_state
 
 

@@ -14,13 +14,12 @@ from ghzdistill import (
     ProductDecomposition,
     closed_form_one_site,
     decompose,
-    exact_branch_probability,
     ghz_state,
     normalize,
     reconstruct,
 )
 from ghzdistill.cli import main
-from helpers import PSI_B_AMPS, make_decomposition
+from helpers import PSI_B_AMPS, exact_branch_probability, make_decomposition
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -93,7 +92,7 @@ def test_classify_w(capsys, w_file):
     assert doc["result"]["class"] == "WClass"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "5"])
 def test_bad_tol_exits_2(capsys, ghz_file, tol):
     rc, doc, err = run_cli(capsys, ["classify", "--tol", tol, ghz_file])
     assert rc == 2
@@ -169,8 +168,9 @@ _EIGHT_ZEROS = ", ".join(["[0, 0]"] * 7)
     (b'{"amps": [[0, -Infinity], ' + _EIGHT_ZEROS.encode() + b"]}", 3),
     (b'{"amps": ["10", "00", "00", "00", "00", "00", "00", "10"]}', 2),
     (b'{"amps": [[1, 0, 0], ' + _EIGHT_ZEROS.encode() + b"]}", 2),
+    (b'{"amps": [[true, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [true, false]]}', 2),
 ], ids=["non-utf8", "deep-nesting", "401-digit-integer", "1e400", "nan", "infinity",
-        "string-pairs", "triple"])
+        "string-pairs", "triple", "booleans"])
 def test_bad_state_file_exits_with_one_error_line(capsys, tmp_path, content, code):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

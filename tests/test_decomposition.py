@@ -13,10 +13,8 @@ from ghzdistill import (
     dual_basis,
     ghz_state,
     normalize,
-    numeric_rank,
     optimal_probability,
     reconstruct,
-    reduced_density,
     w_state,
 )
 from ghzdistill import decomposition
@@ -26,8 +24,9 @@ from ghzdistill.errors import (
     ParallelVectorsError,
 )
 from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_unitaries
-from ghzdistill.tensor import fidelity_with
+from ghzdistill.tensor import fidelity_with, spectral_ranks
 from helpers import make_decomposition, psi_b, random_ghz_state
+from oracles import reduced_density
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -142,7 +141,9 @@ def test_evidence_roots_only_when_the_quadratic_decides():
 
 
 def _per_party_ranks(state, tol):
-    return {p: numeric_rank(reduced_density(state, p), tol) for p in "ABC"}
+    # the rank of each party's partial trace, one matrix at a time
+    return {p: int(spectral_ranks(np.linalg.eigvalsh(reduced_density(state, p)), tol))
+            for p in "ABC"}
 
 
 def test_evidence_ranks_match_per_party_numeric_rank_on_haar_states():

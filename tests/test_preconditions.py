@@ -11,11 +11,8 @@ from ghzdistill import (
     decompose,
     diagonal_family_audit,
     ghz_state,
-    numeric_rank,
-    objective,
     optimal_lu_fidelity,
     random_povm_pair,
-    reduced_density,
     run_protocol,
     scan_diagonal_family,
 )
@@ -30,14 +27,10 @@ _IDENTITY = PovmTriple(_EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO)
 
 CASES = {
     "basis_state bits": lambda: basis_state("01"),
-    "reduced_density unknown party": lambda: reduced_density(ghz_state(), "AD"),
-    "reduced_density all parties": lambda: reduced_density(ghz_state(), "ABC"),
-    "numeric_rank tol 0": lambda: numeric_rank(np.eye(2), 0.0),
-    "numeric_rank tol nan": lambda: numeric_rank(np.eye(2), float("nan")),
-    "numeric_rank tol inf": lambda: numeric_rank(np.eye(2), float("inf")),
     "classification_evidence tol -1": lambda: classification_evidence(ghz_state(), -1.0),
     "classification_evidence tol nan": lambda: classification_evidence(ghz_state(), np.nan),
     "classification_evidence tol inf": lambda: classification_evidence(ghz_state(), np.inf),
+    "classification_evidence tol 1": lambda: classification_evidence(ghz_state(), 1.0),
     "classify tol nan": lambda: classify(ghz_state(), np.nan),
     "decompose tol inf": lambda: decompose(ghz_state(), np.inf),
     "vector_with_overlap s 1": lambda: vector_with_overlap(
@@ -54,10 +47,10 @@ CASES = {
     "optimal_lu_fidelity seed 1.5": lambda: optimal_lu_fidelity(ghz_state(), seed=1.5),
     "diagonal_family_audit x above 1": lambda: diagonal_family_audit(psi_b(), 1.1),
     "diagonal_family_audit x below range": lambda: diagonal_family_audit(psi_b(), -0.2),
-    "objective x 0": lambda: objective(decompose(ghz_state()), 0.0),
-    "objective x -1": lambda: objective(decompose(ghz_state()), -1.0),
     "audit_povm party D": lambda: audit_povm(ghz_state(), random_povm_pair(0), "D"),
     "audit_povm party AB": lambda: audit_povm(ghz_state(), random_povm_pair(0), "AB"),
+    "audit_povm party empty": lambda: audit_povm(ghz_state(), random_povm_pair(0), ""),
+    "audit_povm party list": lambda: audit_povm(ghz_state(), random_povm_pair(0), ["A"]),
     "grid_search_probability points 0": lambda: grid_search_probability(
         decompose(ghz_state()), points=0),
     "grid_search_probability points 1.5": lambda: grid_search_probability(

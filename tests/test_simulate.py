@@ -9,7 +9,6 @@ from ghzdistill import (
     apply_local,
     build_povms,
     decompose,
-    exact_branch_probability,
     ghz_state,
     normalize,
     optimal_probability,
@@ -18,7 +17,7 @@ from ghzdistill import (
 from ghzdistill.errors import InvariantViolationError
 from ghzdistill.simulate import trial_uniforms
 from ghzdistill.tensor import basis_state, fidelity_with
-from helpers import psi_b, random_ghz_state
+from helpers import exact_branch_probability, psi_b, random_ghz_state
 from oracles import sample_branch
 
 _EYE = np.eye(2, dtype=complex)

@@ -13,11 +13,9 @@ from ghzdistill import (
     ghz_state,
     grid_search_probability,
     normalize,
-    objective,
     optimal_probability,
     optimal_probability_value,
     reconstruct,
-    reduced_density,
     w_state,
 )
 from ghzdistill.errors import InvariantViolationError, PreconditionViolatedError
@@ -25,7 +23,7 @@ from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import X_HI, X_LO, _objective, _rising
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
-from oracles import solve_coefficients
+from oracles import reduced_density, solve_coefficients
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -33,19 +31,11 @@ SQ2 = 1.0 / np.sqrt(2.0)
 # ---------------------------------------------------------------- objective
 
 def test_objective_ghz_at_one():
-    assert objective(decompose(ghz_state()), 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert _objective(decompose(ghz_state()), 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_objective_psi_b_at_one():
-    assert objective(decompose(psi_b()), 1.0) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_objective_rejects_nonpositive_x():
-    d = decompose(ghz_state())
-    with pytest.raises(PreconditionViolatedError):
-        objective(d, 0.0)
-    with pytest.raises(PreconditionViolatedError):
-        objective(d, -1.0)
+    assert _objective(decompose(psi_b()), 1.0) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_objective_nonnegative_over_range():
@@ -53,7 +43,7 @@ def test_objective_nonnegative_over_range():
     xs = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 500))
     for _ in range(20):
         d = make_decomposition(rng)
-        assert all(objective(d, float(x)) >= 0.0 for x in xs)
+        assert all(_objective(d, float(x)) >= 0.0 for x in xs)
 
 
 def test_objective_nonnegative_everywhere():
@@ -70,9 +60,9 @@ def test_objective_scalar_and_array_agree_exactly():
         d = make_decomposition(rng)
         xs = np.exp(rng.uniform(-10, 10, size=32))
         batch = _objective(d, xs)
-        assert [objective(d, float(x)) for x in xs] == batch.tolist()
+        assert [float(_objective(d, float(x))) for x in xs] == batch.tolist()
         v, x = grid_search_probability(d, points=1001)
-        assert v == objective(d, x)
+        assert v == _objective(d, x)
 
 
 def test_grid_ties_resolve_to_lowest_x():
@@ -84,7 +74,7 @@ def test_grid_ties_resolve_to_lowest_x():
     n = 20001
     v, x = grid_search_probability(d, points=n)
     xs = np.exp(np.linspace(np.log(X_LO), np.log(X_HI), n))
-    tied = [float(t) for t in xs if objective(d, float(t)) == v]
+    tied = [float(t) for t in xs if _objective(d, float(t)) == v]
     assert len(tied) > 1
     assert x == tied[0]
     assert 1.0 <= x <= d.mu1 / d.mu2

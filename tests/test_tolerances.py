@@ -49,7 +49,7 @@ def test_every_public_tol_defaults_to_rank_tol():
             defaults[name] = inspect.signature(obj).parameters["tol"].default
     assert sorted(defaults) == [
         "audit_povm", "classification_evidence", "classify", "decompose",
-        "diagonal_family_audit", "numeric_rank", "scan_diagonal_family"]
+        "diagonal_family_audit", "scan_diagonal_family"]
     assert all(v == RANK_TOL for v in defaults.values())
     for command in ("classify", "distill", "simulate", "audit", "fidelity"):
         assert build_parser().parse_args([command, "state.json"]).tol == RANK_TOL

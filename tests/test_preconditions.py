@@ -27,11 +27,13 @@ _IDENTITY = PovmTriple(_EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO)
 
 CASES = {
     "basis_state bits": lambda: basis_state("01"),
+    "classification_evidence tol 0": lambda: classification_evidence(ghz_state(), 0.0),
     "classification_evidence tol -1": lambda: classification_evidence(ghz_state(), -1.0),
     "classification_evidence tol nan": lambda: classification_evidence(ghz_state(), np.nan),
     "classification_evidence tol inf": lambda: classification_evidence(ghz_state(), np.inf),
     "classification_evidence tol 1": lambda: classification_evidence(ghz_state(), 1.0),
     "classify tol nan": lambda: classify(ghz_state(), np.nan),
+    "classify tol 5": lambda: classify(ghz_state(), 5.0),
     "decompose tol inf": lambda: decompose(ghz_state(), np.inf),
     "vector_with_overlap s 1": lambda: vector_with_overlap(
         np.random.default_rng(0), np.array([1.0, 0.0]), 1.0),

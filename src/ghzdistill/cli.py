@@ -13,10 +13,11 @@ reproduces the binary values exactly.  Warnings and error messages go to
 stderr.  Exit codes: 0 success; 2 PreconditionViolatedError: an unreadable,
 non-UTF-8 or malformed file, or an argument outside its domain (``--tol``
 outside (0, 1), ``--seed`` below 0, ``--trials 0``, a diagonal scan of a
-state with sa > 0); 3 any other package error, a non-finite amplitude
-included; 4 NotGHZClassError (distillation impossible at ``--tol``).  An
-unnormalized state is renormalized with a warning, overflowing amplitudes
-included.
+state with sa > 0), and MemoryError: a count such as ``--trials`` too
+large for the memory of the machine; 3 any other package error, a
+non-finite amplitude included; 4 NotGHZClassError (distillation
+impossible at ``--tol``).  An unnormalized state is renormalized with a
+warning, overflowing amplitudes included.
 """
 from __future__ import annotations
 
@@ -201,7 +202,7 @@ def _cmd_audit(args, state: State3Q) -> dict:
         slacks = []
         for k in range(args.povms):
             pair = random_povm_pair(np.random.SeedSequence([args.seed, idx, k]))
-            rep = audit_povm(state, pair, party, p_before=p_before, tol=args.tol)
+            rep = audit_povm(state, pair, party, d=d, p_before=p_before, tol=args.tol)
             slacks.append(rep.slack)
         per_party[party] = {"min_slack": min(slacks),
                             "mean_slack": float(np.mean(slacks))}
@@ -291,6 +292,10 @@ def main(argv=None) -> int:
             code, text = EXIT_INVARIANT, f"{type(e).__name__}: {e}"
         print(f"error: {text}", file=sys.stderr)
         return code
+    except MemoryError as e:
+        # a count too large for the machine, such as --trials 10**12
+        print(f"error: not enough memory: {e}", file=sys.stderr)
+        return EXIT_PARSE
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     envelope = {
         "command": args.command,

@@ -13,6 +13,27 @@ basis whose outcomes each occur with probability exactly 1/2, parameterized
 by x with first-operator diagonal squares x/(2 mu1^2) and (1-x)/(2 mu2^2).
 The slack vanishes only at x = mu1^2, where the POVM degenerates to
 identity/sqrt(2) and the state is left untouched.
+
+The state is decomposed once; its branches are not.  An operator N on one
+party maps the two-term form mu1 |a1 b1 c1> + mu2 e^{i phi} |a2 b2 c2> to
+the same form with that party's vectors v_k replaced by N v_k, so branch k
+of probability p (from ``apply_local``) has
+
+    vectors  N v_k / |N v_k|, the second rotated to a real overlap with
+             the first and that rotation's phase added to phi,
+    weights  mu_k |N v_k| / sqrt(p), the terms swapped (phi -> -phi) when
+             the second weight is now the larger,
+
+and the other parties' vectors and overlaps are the parent's.  By SLOCC
+equivalence the branch is GHZ class exactly when N is invertible, and its
+value is the optimal probability of that form.  The label rule reads this
+through the classifier: a branch whose form lies at least
+BRANCH_LABEL_MARGIN inside every cut the classifier applies (each local
+determinant above the margin times the rank tolerance, Alice's root
+separation 1 - sa^2 above the margin times DOUBLE_ROOT_TOL) is labelled GHZ
+class without further work.  Any other branch, in particular one whose N
+sends a vector to zero or makes the pair parallel, takes the label of
+classifying its state; it is valued 0 unless that label is GHZ class.
 """
 from __future__ import annotations
 
@@ -20,15 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import EntanglementClass, ProductDecomposition, decompose
-from .errors import InvariantViolationError, NotGHZClassError, PreconditionViolatedError
+from .decomposition import (
+    EntanglementClass, ProductDecomposition, classification_evidence, decompose,
+)
+from .errors import InvariantViolationError, PreconditionViolatedError
 from .sampling import crandn
 from .solver import _completeness_residual, optimal_probability_value
-from .tensor import State3Q, _ops_for, apply_local, check_int, normalize, vector_norm
-from .tolerances import (
-    BRANCH_SUM_TOL, COMPLETE_TOL, CONTRACTION_TOL, DIAGONAL_X_SLACK, NEGLIGIBLE_BRANCH,
-    ORTHOGONAL_SITE_TOL, RANK_TOL,
+from .tensor import (
+    State3Q, _ops_for, apply_local, check_int, check_tol, normalize, vector_norm,
 )
+from .tolerances import (
+    BRANCH_LABEL_MARGIN, BRANCH_SUM_TOL, COMPLETE_TOL, CONTRACTION_TOL, DIAGONAL_X_SLACK,
+    DOUBLE_ROOT_TOL, NEGLIGIBLE_BRANCH, ORTHOGONAL_SITE_TOL, RANK_TOL, ZERO_OVERLAP,
+)
+
+_GHZ = EntanglementClass.GHZ_CLASS
 
 
 @dataclass(frozen=True)
@@ -76,42 +103,94 @@ def random_povm_pair(seed) -> tuple[np.ndarray, np.ndarray]:
     return complete_pair(g / np.linalg.svd(g, compute_uv=False)[0] * rng.random())
 
 
-def _branch(state: State3Q, op: np.ndarray, party: str, tol: float) -> BranchOutcome:
-    """Outcome of applying ``op`` to one party.
+def _branch_form(d: ProductDecomposition, op: np.ndarray, party: str,
+                 p: float) -> dict | None:
+    """ProductDecomposition fields of the branch op|psi>/sqrt(p), op acting
+    on ``party`` of the state that ``d`` decomposes (module docstring);
+    None when op sends one of the party's vectors to zero."""
+    i = "ABC".index(party)
+    terms = [[d.a1, d.b1, d.c1], [d.a2, d.b2, d.c2]]
+    overlaps = [d.sa, d.sb, d.sc]
+    w1, w2 = op @ terms[0][i], op @ terms[1][i]
+    n1, n2 = vector_norm(w1), vector_norm(w2)
+    if not min(n1, n2) > 0.0:
+        return None
+    u1, u2 = w1 / n1, w2 / n2
+    o = np.vdot(u1, u2)
+    s, phi = float(abs(o)), d.phi
+    if s > ZERO_OVERLAP:
+        u2 = u2 * (o / s).conjugate()
+        phi += float(np.angle(o))
+    else:
+        s = 0.0
+    terms[0][i], terms[1][i], overlaps[i] = u1, u2, s
+    weights = [float(d.mu1 * n1 / np.sqrt(p)), float(d.mu2 * n2 / np.sqrt(p))]
+    if weights[1] > weights[0]:
+        weights.reverse()
+        terms.reverse()
+        phi = -phi
+    (a1, b1, c1), (a2, b2, c2) = terms
+    return {"mu1": weights[0], "mu2": weights[1], "phi": phi % (2.0 * np.pi),
+            "a1": a1, "a2": a2, "b1": b1, "b2": b2, "c1": c1, "c2": c2,
+            "sa": overlaps[0], "sb": overlaps[1], "sc": overlaps[2]}
 
-    The post-measurement state is decomposed once, at rank tolerance
-    ``tol``: a GHZ-class outcome is labelled and valued from its
-    decomposition, any other class is taken from the NotGHZClassError and
-    valued 0.  IllConditionedError propagates.
-    """
+
+def _inside_ghz_cuts(form: dict, tol: float) -> bool:
+    """Whether the form lies BRANCH_LABEL_MARGIN inside the classifier's
+    GHZ-class cuts: every local reduction has determinant
+    mu1^2 mu2^2 (1 - s^2)(1 - s'^2 s''^2), a lower bound on its eigenvalue
+    ratio, above the margin times ``tol``, and Alice's vectors, whose
+    overlap sa sets the separation 1 - sa^2 of the classifier's roots, are
+    that far from a double root."""
+    sa, sb, sc = form["sa"], form["sb"], form["sc"]
+    m = (form["mu1"] * form["mu2"]) ** 2
+    det = m * min((1.0 - sa * sa) * (1.0 - (sb * sc) ** 2),
+                  (1.0 - sb * sb) * (1.0 - (sa * sc) ** 2),
+                  (1.0 - sc * sc) * (1.0 - (sa * sb) ** 2))
+    return (det > BRANCH_LABEL_MARGIN * tol
+            and 1.0 - sa * sa > BRANCH_LABEL_MARGIN * DOUBLE_ROOT_TOL)
+
+
+def _branch(state: State3Q, d: ProductDecomposition, op: np.ndarray, party: str,
+            tol: float) -> BranchOutcome:
+    """Outcome of applying ``op`` to one party of ``state``, whose
+    decomposition is ``d``: its probability from ``apply_local``, its label
+    and value from the branch form, or from classifying the branch state at
+    rank tolerance ``tol`` near the classifier's cuts (module docstring)."""
     raw, p = apply_local(state, *_ops_for(party, op))
     if p < NEGLIGIBLE_BRANCH:
         return BranchOutcome(probability=p, label="negligible", p_value=0.0)
-    try:
-        d = decompose(normalize(raw), tol)
-    except NotGHZClassError as e:
-        return BranchOutcome(probability=p, label=e.cls.value, p_value=0.0)
-    return BranchOutcome(probability=p, label=EntanglementClass.GHZ_CLASS.value,
-                         p_value=optimal_probability_value(d))
+    form = _branch_form(d, op, party, p)
+    if form is None or not _inside_ghz_cuts(form, tol):
+        cls = classification_evidence(normalize(raw), tol)["class"]
+        if form is None or cls is not _GHZ:
+            return BranchOutcome(probability=p, label=cls.value, p_value=0.0)
+    return BranchOutcome(probability=p, label=_GHZ.value,
+                         p_value=optimal_probability_value(ProductDecomposition(**form)))
 
 
 def audit_povm(state: State3Q, povm_pair, party: str,
-               p_before: float | None = None, tol: float = RANK_TOL) -> MonotoneReport:
+               d: ProductDecomposition | None = None, p_before: float | None = None,
+               tol: float = RANK_TOL) -> MonotoneReport:
     """Monotone inequality audit for one POVM on one party.
 
-    ``p_before`` can be passed in when the caller audits the same state
-    against many POVMs; it is computed from scratch otherwise.  Every
-    decomposition the audit makes, of the state and of each branch, uses
-    the rank tolerance ``tol``.  Branches whose outcome is not GHZ class
-    contribute zero to the weighted sum; an ill-conditioned branch
-    decomposition aborts the audit.
+    ``d`` is the decomposition of ``state`` and ``p_before`` its optimal
+    probability; callers that audit one state against many POVMs pass
+    them in, and each is computed when not given, ``p_before`` from ``d``.
+    The state is decomposed at rank tolerance ``tol``, so a state outside
+    the GHZ class raises NotGHZClassError; branches near the classifier's
+    cuts are classified at ``tol`` too.  Branches whose outcome is not GHZ
+    class contribute zero to the weighted sum.
     """
+    check_tol(tol)
     m0, m1 = povm_pair
     if not _completeness_residual(m0, m1) <= COMPLETE_TOL:
         raise PreconditionViolatedError(f"POVM pair is not complete within {COMPLETE_TOL}")
+    if d is None:
+        d = decompose(state, tol)
     if p_before is None:
-        p_before = optimal_probability_value(decompose(state, tol))
-    branches = (_branch(state, m0, party, tol), _branch(state, m1, party, tol))
+        p_before = optimal_probability_value(d)
+    branches = (_branch(state, d, m0, party, tol), _branch(state, d, m1, party, tol))
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > BRANCH_SUM_TOL:
         raise InvariantViolationError(f"branch probabilities sum to {total!r}")
@@ -148,8 +227,8 @@ def diagonal_family_audit(state: State3Q, x: float,
     the feasible range of x is [2 mu1^2 - 1, 1], the subset of the nominal
     interval on which all four diagonal squares stay in [0, 1].  Both
     outcomes occur with probability exactly 1/2.  ``d`` and ``p_before``
-    are computed when not given, ``p_before`` from ``d``; ``d`` and the
-    branch decompositions use the rank tolerance ``tol``.
+    are computed when not given, ``p_before`` from ``d``; ``d`` and any
+    branch classification use the rank tolerance ``tol``.
     """
     if d is None:
         d = decompose(state, tol)
@@ -159,7 +238,7 @@ def diagonal_family_audit(state: State3Q, x: float,
         )
     if p_before is None:
         p_before = optimal_probability_value(d)
-    return audit_povm(state, _diagonal_pair(d, x), "A", p_before=p_before, tol=tol)
+    return audit_povm(state, _diagonal_pair(d, x), "A", d=d, p_before=p_before, tol=tol)
 
 
 def scan_diagonal_family(state: State3Q, steps: int,
@@ -168,8 +247,8 @@ def scan_diagonal_family(state: State3Q, steps: int,
     """Sweep the feasible x range uniformly; returns an array of (x, slack).
 
     ``d`` is the decomposition of ``state`` to scan with; the state is
-    decomposed when it is not given.  That decomposition and every branch
-    decomposition use the rank tolerance ``tol``.  Like
+    decomposed when it is not given.  That decomposition and any branch
+    classification use the rank tolerance ``tol``.  Like
     ``diagonal_family_audit``, the scan raises PreconditionViolatedError
     unless sa = 0.  The slack is nonnegative up to solver tolerance
     everywhere and reaches zero only around x = mu1^2.

@@ -174,17 +174,28 @@ def _rising(d: ProductDecomposition, x: float) -> bool:
     return bool(h1 * r2 + h2 * r1 < 0.0)
 
 
+# about 84 bytes of temporaries per grid point, so 0.7 MB per chunk
+_GRID_CHUNK = 8192
+
+
 def grid_search_probability(d: ProductDecomposition,
                             points: int = 100_000) -> tuple[float, float]:
     """Best (value, x) over a logarithmic grid of ``points`` x values on
     [X_LO, X_HI]; the test oracle of the bracketed search.  Ties resolve to
-    the lowest x.
+    the lowest x.  The grid is evaluated in chunks of _GRID_CHUNK points,
+    so its temporaries do not grow with ``points``.
     """
     check_int("points", points, 1)
     us = np.linspace(np.log(X_LO), np.log(X_HI), points)
-    vals = _objective(d, np.exp(us))
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(np.exp(us[i]))
+    best, best_u = -np.inf, us[0]
+    for start in range(0, points, _GRID_CHUNK):
+        chunk = us[start:start + _GRID_CHUNK]
+        vals = _objective(d, np.exp(chunk))
+        i = int(np.argmax(vals))
+        # strictly better only, so a tie keeps the lower x of an earlier chunk
+        if vals[i] > best:
+            best, best_u = vals[i], chunk[i]
+    return float(best), float(np.exp(best_u))
 
 
 def _max_objective(d: ProductDecomposition) -> tuple[float, float]:

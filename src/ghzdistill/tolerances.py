@@ -18,13 +18,13 @@ COARSE_RANK_FLOOR = 1e-7  (decomposition)
 VANISHING_QUADRATIC_RTOL = 1e-13  (decomposition)
     the product-vector quadratic vanishes when its largest coefficient is
     at most this times the squared norm of the larger half of the state
-DOUBLE_ROOT_TOL = 1e-8  (decomposition)
+DOUBLE_ROOT_TOL = 1e-8  (decomposition, monotone)
     W class when the squared chordal distance of the roots is below it
 PRODUCT_ANGLE_TOL = 1e-8  (decomposition)
     ill-conditioned when the product vectors are closer in angle
 TIE_TOL = 1e-12  (decomposition)
     two term weights within it are tied (broken by the local vectors)
-ZERO_OVERLAP = 1e-12  (decomposition, solver)
+ZERO_OVERLAP = 1e-12  (decomposition, monotone, solver)
     a local overlap at or below it is exactly zero
 OVERLAP_TOL = 1e-11  (decomposition)
     a stored overlap agrees with the overlap of its vectors
@@ -81,7 +81,11 @@ UNDERFLOW = 1e-14  (simulate)
 FIDELITY_OVERSHOOT = 1e-12  (simulate)
     a mean fidelity may exceed 1 by this much
 NEGLIGIBLE_BRANCH = 1e-18  (monotone)
-    an audit branch less likely than this is not decomposed
+    an audit branch less likely than this is not valued
+BRANCH_LABEL_MARGIN = 1e2  (monotone)
+    an audit branch form whose local determinants exceed this times the
+    rank tolerance, and whose 1 - sa^2 exceeds this times DOUBLE_ROOT_TOL,
+    is GHZ class without classifying its state
 CONTRACTION_TOL = 1e-12  (monotone)
     I - N^dag N may have an eigenvalue down to -CONTRACTION_TOL
 BRANCH_SUM_TOL = 1e-10  (monotone)
@@ -175,6 +179,10 @@ UNDERFLOW = 1e-14
 FIDELITY_OVERSHOOT = 1e-12
 # its post-measurement state is rounding; it adds at most 1e-18 to a sum
 NEGLIGIBLE_BRANCH = 1e-18
+# a determinant is a lower bound on the eigenvalue ratio the rank test
+# reads, and the classifier's own rounding (~1e-16 in a ratio, ~1e-10 in a
+# root separation near a double root) stays far inside a factor of 100
+BRANCH_LABEL_MARGIN = 1e2
 # rounding of I - N^dag N for a contraction at its limit
 CONTRACTION_TOL = 1e-12
 # a pair complete to COMPLETE_TOL sums to 1 within a small multiple of it

@@ -6,6 +6,10 @@ against.  No code in ``ghzdistill`` calls them.
   coefficients of ``ghzdistill.solver.optimal_probability``.
 - ``sample_branch``: one POVM on one party, sampled, the oracle of the
   threshold sampling of ``ghzdistill.simulate.run_protocol``.
+- ``branch_by_decomposing``: one audit branch labelled and valued by
+  decomposing the post-measurement state, the oracle of the branch form
+  that ``ghzdistill.monotone.audit_povm`` derives from the parent's
+  decomposition.
 - ``svd_polar_update``: the polar factors of a stack of 2x2 matrices by
   LAPACK SVD, the oracle of the closed form of
   ``ghzdistill.fidelity._polar_update``.
@@ -22,13 +26,19 @@ against.  No code in ``ghzdistill`` calls them.
 """
 import numpy as np
 
-from ghzdistill.decomposition import ProductDecomposition
+from ghzdistill.decomposition import EntanglementClass, ProductDecomposition, decompose
+from ghzdistill.errors import NotGHZClassError
 from ghzdistill.fidelity import ghz_fidelity, su2
+from ghzdistill.monotone import BranchOutcome
 from ghzdistill.simulate import _effective_threshold
-from ghzdistill.solver import _balanced_pair, _completeness_residual, _smaller_balance_root
+from ghzdistill.solver import (
+    _balanced_pair, _completeness_residual, _smaller_balance_root, optimal_probability_value,
+)
 from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
 from ghzdistill.tolerances import MAX_SWEEPS as _MAX_SWEEPS
+from ghzdistill.tolerances import NEGLIGIBLE_BRANCH as _NEGLIGIBLE_BRANCH
+from ghzdistill.tolerances import RANK_TOL as _RANK_TOL
 from ghzdistill.tolerances import SWEEP_TOL as _SWEEP_TOL
 from ghzdistill.tolerances import TIE_MARGIN as _TIE_MARGIN
 from ghzdistill.tolerances import ZERO_OVERLAP as _ZERO_OVERLAP
@@ -192,6 +202,25 @@ def sample_branch(state: State3Q, povm_pair, party: str, rng) -> tuple[int, Stat
         return 0, normalize(raw0), p0
     raw1, p1 = apply_local(state, *_ops_for(party, m1))
     return 1, normalize(raw1), p1
+
+
+# ----------------------------------------------------------- audit branches
+
+def branch_by_decomposing(state: State3Q, op: np.ndarray, party: str,
+                          tol: float = _RANK_TOL) -> BranchOutcome:
+    """Outcome of applying ``op`` to one party, the post-measurement state
+    decomposed at rank tolerance ``tol``: a GHZ-class outcome is labelled
+    and valued from its decomposition, any other class is taken from the
+    NotGHZClassError and valued 0.  IllConditionedError propagates."""
+    raw, p = apply_local(state, *_ops_for(party, op))
+    if p < _NEGLIGIBLE_BRANCH:
+        return BranchOutcome(probability=p, label="negligible", p_value=0.0)
+    try:
+        d = decompose(normalize(raw), tol)
+    except NotGHZClassError as e:
+        return BranchOutcome(probability=p, label=e.cls.value, p_value=0.0)
+    return BranchOutcome(probability=p, label=EntanglementClass.GHZ_CLASS.value,
+                         p_value=optimal_probability_value(d))
 
 
 # ------------------------------------------------------------ polar factors

@@ -313,6 +313,24 @@ def test_argument_outside_its_domain_exits_2(capsys, request, command, state, ex
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,module,attr,extra", [
+    ("simulate", "simulate", "trial_uniforms", ["--trials", "10"]),
+    ("fidelity", "fidelity", "su2", ["--restarts", "2"]),
+])
+def test_out_of_memory_exits_2(capsys, monkeypatch, psi_b_file, command, module, attr, extra):
+    # a count too large for the machine (--trials 10**12) makes these
+    # allocations raise MemoryError; the stand-in raises it without allocating
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+    monkeypatch.setattr(getattr(ghzdistill, module), attr, no_memory)
+    rc, doc, err = run_cli(capsys, [command, psi_b_file, *extra])
+    assert rc == 2
+    assert doc is None
+    assert err.startswith("error: not enough memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- audit
 
 def test_audit_random_povms(capsys, ghz_file):

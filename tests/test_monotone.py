@@ -12,11 +12,12 @@ from ghzdistill import (
     random_povm_pair,
     scan_diagonal_family,
 )
-from ghzdistill import decomposition
+from ghzdistill import decomposition, monotone
 from ghzdistill.errors import NotGHZClassError, PreconditionViolatedError
 from ghzdistill.monotone import _diagonal_pair
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from helpers import make_decomposition, psi_b, random_ghz_state
+from oracles import branch_by_decomposing
 from ghzdistill.decomposition import reconstruct
 
 _EYE = np.eye(2, dtype=complex)
@@ -123,14 +124,52 @@ def test_audit_classifies_each_state_once(monkeypatch):
 
     st = random_ghz_state(np.random.default_rng(6))
     pair = random_povm_pair(0)
-    p_before = optimal_probability_value(decompose(st))
+    d = decompose(st)
+    p_before = optimal_probability_value(d)
     monkeypatch.setattr(decomposition, "classification_evidence", counted)
+    monkeypatch.setattr(monotone, "classification_evidence", counted)
+    rep = audit_povm(st, pair, "A", d=d, p_before=p_before)
+    assert [b.label for b in rep.branches] == ["GHZClass", "GHZClass"]
+    assert len(calls) == 0          # the branches are valued from d
     rep = audit_povm(st, pair, "A", p_before=p_before)
     assert [b.label for b in rep.branches] == ["GHZClass", "GHZClass"]
-    assert len(calls) == 2          # one per branch
-    calls.clear()
-    audit_povm(st, pair, "A")
-    assert len(calls) == 3          # and one for p_before
+    assert len(calls) == 1          # the state is decomposed once
+
+
+def _assert_branches_match_oracle(st, pair, party, rep):
+    for op, b in zip(pair, rep.branches):
+        ref = branch_by_decomposing(st, op, party)
+        assert b.label == ref.label
+        assert b.probability == ref.probability
+        assert abs(b.p_value - ref.p_value) <= 1e-14
+
+
+def test_branch_forms_agree_with_decomposing_each_branch():
+    rng = np.random.default_rng(41)
+    seed = 100
+    for _ in range(20):
+        st = random_ghz_state(rng)
+        d = decompose(st)
+        for party in "ABC":
+            pair = random_povm_pair(seed)
+            seed += 1
+            _assert_branches_match_oracle(st, pair, party, audit_povm(st, pair, party, d=d))
+    for st in (psi_b(), reconstruct(make_decomposition(rng, sa=0.0))):
+        d = decompose(st)
+        lo = 2.0 * d.mu1 ** 2 - 1.0
+        for x in np.linspace(lo, 1.0, 9):
+            pair = _diagonal_pair(d, float(x))
+            _assert_branches_match_oracle(st, pair, "A", diagonal_family_audit(st, float(x), d))
+    pair = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    _assert_branches_match_oracle(ghz_state(), pair, "A", audit_povm(ghz_state(), pair, "A"))
+
+
+def test_audit_refuses_a_non_ghz_parent_also_with_p_before():
+    amps = np.zeros(8, dtype=complex)
+    amps[[1, 2, 4]] = 1.0
+    w = normalize(amps)
+    with pytest.raises(NotGHZClassError):
+        audit_povm(w, random_povm_pair(0), "A", p_before=0.5)
 
 
 # --------------------------------------------------------- diagonal family

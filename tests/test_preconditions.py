@@ -53,6 +53,8 @@ CASES = {
     "audit_povm party AB": lambda: audit_povm(ghz_state(), random_povm_pair(0), "AB"),
     "audit_povm party empty": lambda: audit_povm(ghz_state(), random_povm_pair(0), ""),
     "audit_povm party list": lambda: audit_povm(ghz_state(), random_povm_pair(0), ["A"]),
+    "audit_povm tol 0 with d": lambda: audit_povm(
+        ghz_state(), random_povm_pair(0), "A", d=decompose(ghz_state()), tol=0.0),
     "grid_search_probability points 0": lambda: grid_search_probability(
         decompose(ghz_state()), points=0),
     "grid_search_probability points 1.5": lambda: grid_search_probability(

@@ -12,8 +12,9 @@ Every float is emitted with 17 significant digits, so parsing the output
 reproduces the binary values exactly.  Warnings and error messages go to
 stderr.  Exit codes: 0 success; 2 PreconditionViolatedError: an unreadable,
 non-UTF-8 or malformed file, or an argument outside its domain (``--tol``
-outside (0, 1), ``--seed`` below 0, ``--trials 0``, a diagonal scan of a
-state with sa > 0), and MemoryError: a count such as ``--trials`` too
+outside (0, 1), ``--seed`` below 0, ``--trials``, ``--povms`` or
+``--restarts`` below 1, fewer than 3 ``--diagonal-scan`` steps, a diagonal
+scan of a state with sa > 0), and MemoryError: a count such as ``--trials`` too
 large for the memory of the machine; 3 any other package error, a
 non-finite amplitude included; 4 NotGHZClassError (distillation
 impossible at ``--tol``).  An unnormalized state is renormalized with a
@@ -195,7 +196,6 @@ def _cmd_audit(args, state: State3Q) -> dict:
             "min_slack_x": float(table[i_min, 0]),
         }
 
-    check_int("--povms", args.povms, 1)
     per_party = {}
     all_slacks = []
     for idx, party in enumerate("ABC"):
@@ -274,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each subcommand's counts with their least values: those of run_protocol,
+# the audit loop, scan_diagonal_family and optimal_lu_fidelity
+_COUNTS = {"trials": 1, "povms": 1, "diagonal_scan": 3, "restarts": 1}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,6 +286,12 @@ def main(argv=None) -> int:
     try:
         check_tol(args.tol)
         check_int("--seed", args.seed, 0)
+        # before the state is read, so a count outside its domain exits 2
+        # also on a state that is not GHZ class
+        for name, low in _COUNTS.items():
+            value = getattr(args, name, None)
+            if value is not None:
+                check_int("--" + name.replace("_", "-"), value, low)
         state, label = load_state(args.state_file)
         result = _HANDLERS[args.command](args, state)
     except GhzDistillError as e:

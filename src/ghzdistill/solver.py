@@ -18,18 +18,22 @@ summing to -phi.  The branch probability is then p = 2 (alpha1 beta1
 gamma1 mu1)^2 and its maximum over the constraint curves reduces to a 1-D
 objective in x = alpha2/alpha1 > 0, written once here (``_objective``).
 
-The production path is one bisection of that objective's slope on
-[1, mu1/mu2] (``_max_objective``), after which the six
+The production path finds where that objective's slope in log x changes
+sign on [1, mu1/mu2] by a safeguarded Newton iteration that certifies its
+answer to U_TOL with two sign probes (``_sign_change``, ``_max_objective``);
+it takes about five slope evaluations.  The six
 magnitudes follow from the optimum x* in closed form: Alice's pair from
 the ratio 1/x*, Bob's and Claire's from the two-site ratio formula with
 Alice's filtering folded into the weights.  The grid search
 (``grid_search_probability``) is an independent slow route, kept as a
-test oracle of the fast path; the direct constrained coefficient solver
-that checks the closed-form coefficients is ``solve_coefficients`` in
-``tests/oracles.py``.
+test oracle of the fast path; the bisection that the Newton iteration
+replaced is ``bisect_max_objective`` in ``tests/oracles.py``, beside the
+direct constrained coefficient solver ``solve_coefficients`` that checks
+the closed-form coefficients.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +42,8 @@ from .decomposition import ProductDecomposition, dual_basis, reconstruct
 from .errors import InvariantViolationError, PreconditionViolatedError
 from .tensor import apply_local, check_int, fidelity_with, ghz_state, normalize
 from .tolerances import (
-    COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, ORTHOGONAL_SITE_TOL, PHASE_TOL,
-    PLATEAU_RTOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
+    COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, NEWTON_STEP_TOL, ORTHOGONAL_SITE_TOL,
+    PHASE_TOL, PLATEAU_RTOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
 )
 
 
@@ -139,22 +143,34 @@ def _objective(d: ProductDecomposition, x):
     keeps the overlaps in [0, 1) and mu2 > 0 and x > 0, so the square roots
     need no clamp.
     """
-    f1, f2, _, _, r1, r2 = _terms(d, x)
-    k1 = 4.0 * (1.0 - d.sa * d.sa)
-    k2 = 4.0 * (d.mu1 * d.mu2) ** 2 * (1.0 - d.sb * d.sb) * (1.0 - d.sc * d.sc)
+    w = _params(d)
+    mu1, mu2, sa, sb, sc = w
+    f1, f2, _, _, _, r1, r2 = _terms(w, x)
+    k1 = 4.0 * (1.0 - sa * sa)
+    k2 = 4.0 * (mu1 * mu2) ** 2 * (1.0 - sb * sb) * (1.0 - sc * sc)
     return k1 * k2 / (2.0 * (f1 + r1) * (f2 + r2))
 
 
-def _terms(d: ProductDecomposition, x):
-    """(f1, f2, h1, h2, r1, r2) at x: h1 = x - 1/x, h2 = mu2^2 x - mu1^2/x
-    and r1, r2 the square roots of f1^2 - k1 and f2^2 - k2 of ``_objective``,
-    written cancellation-free:
+def _params(d: ProductDecomposition) -> tuple[float, float, float, float, float]:
+    """(mu1, mu2, sa, sb, sc) as Python floats: the same values as NumPy
+    scalars, several times faster in scalar arithmetic, and overflowing to
+    inf without a RuntimeWarning (only a division by 0 raises)."""
+    return float(d.mu1), float(d.mu2), float(d.sa), float(d.sb), float(d.sc)
+
+
+def _terms(w: tuple, x):
+    """(f1, f2, g, h1, h2, r1, r2) at x for the parameters w of ``_params``:
+    g = mu2^2 x + mu1^2/x, so f2 = g + 2 mu1 mu2 sb sc; h1 = x - 1/x and
+    h2 = mu2^2 x - mu1^2/x; r1, r2 the square roots of f1^2 - k1 and
+    f2^2 - k2 of ``_objective``, written cancellation-free:
 
         f1^2 - k1 = h1^2 + 4 sa^2
-        f2^2 - k2 = h2^2 + 4 mu1 mu2 sb sc g + 4 mu1^2 mu2^2 (sb^2 + sc^2),
-        g = mu2^2 x + mu1^2/x.
+        f2^2 - k2 = h2^2 + 4 mu1 mu2 sb sc g + 4 mu1^2 mu2^2 (sb^2 + sc^2).
+
+    A float x gives Python floats, an array of x arrays.
     """
-    mu1, mu2, sa, sb, sc = d.mu1, d.mu2, d.sa, d.sb, d.sc
+    mu1, mu2, sa, sb, sc = w
+    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
     f1 = (x * x + 1.0) / x
     g = (mu2 * mu2 * x * x + mu1 * mu1) / x
     cross = 2.0 * mu1 * mu2 * sb * sc
@@ -164,14 +180,42 @@ def _terms(d: ProductDecomposition, x):
     num1 = h1 * h1 + 4.0 * sa * sa
     num2 = (h2 * h2 + 2.0 * cross * g
             + 4.0 * mu1 * mu1 * mu2 * mu2 * (sb * sb + sc * sc))
-    return f1, f2, h1, h2, np.sqrt(num1), np.sqrt(num2)
+    return f1, f2, g, h1, h2, sqrt(num1), sqrt(num2)
 
 
-def _rising(d: ProductDecomposition, x: float) -> bool:
-    """Whether the objective strictly increases with log x at x (the sign
-    of its log-slope -(h1/r1 + h2/r2), see ``_max_objective``)."""
-    _, _, h1, h2, r1, r2 = _terms(d, x)
-    return bool(h1 * r2 + h2 * r1 < 0.0)
+def _slope_ratio(w: tuple, x: float) -> tuple[bool, float, float]:
+    """(rising, phi, dphi) at a float x > 0 for the parameters w of ``_params``.
+
+    The log-slope of the objective is S = -(h1/r1 + h2/r2) = a - b with
+    a = 1 - h1/r1 and b = 1 + h2/r2, both in [0, 2] (see ``_max_objective``).
+    ``rising`` is a > b, that is S > 0; phi = log(a/b), which has the sign
+    of S, and dphi = d phi/du in u = log x.  Where h1 > 0, a is taken as
+    4 sa^2/(r1 (r1 + h1)), and where h2 < 0, b as (2 cross g + k)/(r2 (r2 - h2)),
+    with cross = 2 mu1 mu2 sb sc and k = 4 mu1^2 mu2^2 (sb^2 + sc^2): so
+    a and b keep their relative accuracy where they are far below 1
+    (mu2 << mu1), and so does the sign of S.  The derivatives are
+
+        da/du = -4 sa^2 f1/r1^3,   db/du = (cross (g^2 + m) + k g)/r2^3,
+
+    m = 4 mu1^2 mu2^2, evaluated in the ratios t = 2 sa/r1, e = 2 mu1 mu2/r2
+    and q = g/r2, which neither overflow nor divide by an underflowed cube.
+    phi and dphi are NaN where a or b is 0, or r1 or r2 is (a cusp); then
+    ``rising`` is the sign of h1 r2 + h2 r1.
+    """
+    mu1, mu2, sa, sb, sc = w
+    f1, _, g, h1, h2, r1, r2 = _terms(w, x)
+    if not (r1 > 0.0 and r2 > 0.0):
+        return h1 * r2 + h2 * r1 < 0.0, math.nan, math.nan
+    t1, t2 = h1 / r1, h2 / r2
+    t, e, q = 2.0 * sa / r1, 2.0 * mu1 * mu2 / r2, g / r2
+    bc, b2c2 = sb * sc, sb * sb + sc * sc
+    a = t * t / (1.0 + t1) if h1 > 0.0 else 1.0 - t1
+    b = e * (2.0 * bc * q + b2c2 * e) / (1.0 - t2) if h2 < 0.0 else 1.0 + t2
+    if not (a > 0.0 and b > 0.0):
+        return a > b, math.nan, math.nan
+    da = -t * t * (f1 / r1)
+    db = e * (bc * (q * q + e * e) + b2c2 * e * q)
+    return a > b, math.log(a) - math.log(b), da / a - db / b
 
 
 # about 84 bytes of temporaries per grid point, so 0.7 MB per chunk
@@ -198,10 +242,73 @@ def grid_search_probability(d: ProductDecomposition,
     return float(best), float(np.exp(best_u))
 
 
+def _sign_change(d: ProductDecomposition) -> float:
+    """The x_lo = exp(lo) at which the objective still rises, lo within
+    U_TOL of the u = log x where its slope changes sign in [0, log(mu1/mu2)]
+    (see ``_max_objective``); an end of that bracket when the sign
+    change sits there.
+
+    The zero overlaps settle the ends without an evaluation: at sa = 0 the
+    value falls from x = 1 on (on the sa = sb = sc = 0 plateau it is
+    flat), and at sb = sc = 0 with sa > 0 it rises up to its cusp at
+    x = mu1/mu2.  Otherwise the slope is positive at u = 0 and negative at
+    log(mu1/mu2), and a safeguarded Newton iteration on phi = log(a/b) of
+    ``_slope_ratio`` runs from the middle of the bracket.  phi falls with u
+    and is nearly linear in u where the slope is exponentially small, so
+    Newton converges in a few steps for any weight ratio.  Each evaluation
+    moves an end of the bracket by the sign of the slope.  A step that
+    leaves the bracket, a derivative that is not negative (NaN included),
+    or a step longer than half the move before the last, as in Numerical
+    Recipes' rtsafe, is replaced by the midpoint.  A step shorter than
+    NEWTON_STEP_TOL is taken and certified: the sign is probed U_TOL/4 to
+    either side, which leaves a bracket of width U_TOL/2 when the probes
+    straddle the sign change, and the iteration goes on from the midpoint
+    otherwise.
+    """
+    w = _params(d)
+    mu1, mu2, sa, sb, sc = w
+    r = mu1 / mu2
+    lo, hi = 0.0, max(math.log(r), 0.0)
+    x_lo = 1.0
+    if hi - lo > U_TOL:
+        if sa == 0.0:
+            hi = lo
+        elif sb == 0.0 and sc == 0.0:
+            lo, x_lo = hi, r
+    u = 0.5 * (lo + hi)
+    step = step_before = hi - lo    # the last two moves of u
+    while hi - lo > U_TOL:
+        x = math.exp(u)
+        rising, phi, dphi = _slope_ratio(w, x)
+        if rising:
+            lo, x_lo = u, x
+        else:
+            hi = u
+        newton = -phi / dphi if dphi < 0.0 else math.nan
+        if abs(newton) < NEWTON_STEP_TOL:
+            t = min(max(u + newton, lo), hi)
+            for p in (t - 0.25 * U_TOL, t + 0.25 * U_TOL):
+                if lo < p < hi:
+                    xp = math.exp(p)
+                    if _slope_ratio(w, xp)[0]:
+                        lo, x_lo = p, xp
+                    else:
+                        hi = p
+            target = 0.5 * (lo + hi)
+        elif lo < u + newton < hi and abs(newton) <= 0.5 * abs(step_before):
+            target = u + newton
+        else:
+            target = 0.5 * (lo + hi)
+        step_before, step = step, target - u
+        u = target
+    return x_lo
+
+
 def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
-    """Global maximum (value, x*) of the objective: one bisection in
-    u = log x on [0, log(mu1/mu2)] plus both ends of that bracket as
-    explicit candidates, reduced best value first, then lowest x.
+    """Global maximum (value, x*) of the objective: the point where its
+    slope in u = log x changes sign in [0, log(mu1/mu2)] (``_sign_change``)
+    plus both ends of that bracket as explicit candidates, reduced best
+    value first, then lowest x.
 
     With u = log x, L = log(mu1/mu2) >= 0 (a mu1 a rounding error below
     mu2 counts as L = 0) and v = u - L,
@@ -220,30 +327,24 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
     Each quotient is nondecreasing in u; their derivatives are
     sa^2 cosh u / (...)^(3/2) and (sb sc (cosh^2 v + 1)
     + (sb^2 + sc^2) cosh v) / (...)^(3/2).  So log(value) is concave in u
-    and the maximum is found by bisection on the sign of the slope
-    (``_rising``).  For u < 0 both quotients are negative, so the value
-    rises; for u > L both are positive, so it falls: the maximum lies in
-    [0, L], that is x* in [1, mu1/mu2].  The concavity is strict, and the
-    maximizer unique, unless sa = sb = sc = 0; then the slope is 0 on all
-    of (0, L), the value is 2 mu2^2 there, and the lowest x, x* = 1, wins.
+    and the maximum is where the sign of the slope changes.  For u < 0
+    both quotients are negative, so the value rises; for u > L both are
+    positive, so it falls: the maximum lies in [0, L], that is x* in
+    [1, mu1/mu2].  The concavity is strict, and the maximizer unique,
+    unless sa = sb = sc = 0; then the slope is 0 on all of (0, L), the
+    value is 2 mu2^2 there, and the lowest x, x* = 1, wins.
 
-    Bisecting on the slope's sign rather than comparing values pins x* to
+    Searching on the slope's sign rather than comparing values pins x* to
     the tolerance even where the value is flat to rounding (mu2 << mu1),
     which the closed-form coefficients need.  The objective has a cusp
     only where a radicand vanishes at the maximum: x = 1 for sa = 0 and
-    x = mu1/mu2 for sb = sc = 0, the ends of the bracket.  A bisection
-    reaches such a point only to within its tolerance, so both ends are
+    x = mu1/mu2 for sb = sc = 0, the ends of the bracket, so both ends are
     evaluated exactly.
     """
-    r = d.mu1 / d.mu2
-    lo, hi = 0.0, max(float(np.log(r)), 0.0)
-    while hi - lo > U_TOL:
-        mid = 0.5 * (lo + hi)
-        if _rising(d, float(np.exp(mid))):
-            lo = mid
-        else:
-            hi = mid
-    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, float(np.exp(lo)))]
+    x_lo = _sign_change(d)
+    mu1, mu2 = _params(d)[:2]
+    r = mu1 / mu2
+    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, x_lo)]
     best = max(v for v, _ in candidates)
     tied = [x for v, x in candidates if v >= best - PLATEAU_RTOL * max(1.0, best)]
     # rounding in the decomposition data can push the evaluated maximum a few

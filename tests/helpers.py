@@ -28,15 +28,20 @@ def random_ghz_state(rng):
             return st
 
 
-def make_decomposition(rng, mu1_sq=None, sa=None, sb=None, sc=None, phi=None):
-    """Random decomposition data with any subset of parameters pinned."""
-    if mu1_sq is None:
+def make_decomposition(rng, mu1_sq=None, sa=None, sb=None, sc=None, phi=None, ratio=None):
+    """Random decomposition data with any subset of parameters pinned; the
+    weights by mu1^2 or, down to any ratio, by ``ratio`` = mu2/mu1."""
+    if mu1_sq is None and ratio is None:
         mu1_sq = rng.uniform(0.52, 0.9)
     sa = rng.uniform(0.05, 0.85) if sa is None else sa
     sb = rng.uniform(0.05, 0.85) if sb is None else sb
     sc = rng.uniform(0.05, 0.85) if sc is None else sc
     phi = rng.uniform(0.0, 2.0 * np.pi) if phi is None else phi
-    m1, m2 = np.sqrt(mu1_sq), np.sqrt(1.0 - mu1_sq)
+    if ratio is None:
+        m1, m2 = np.sqrt(mu1_sq), np.sqrt(1.0 - mu1_sq)
+    else:
+        m1 = 1.0 / np.sqrt(1.0 + ratio * ratio)
+        m2 = ratio * m1
     norm = np.sqrt(m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * np.cos(phi) * sa * sb * sc)
     a1 = haar_local_vector(rng)
     b1 = haar_local_vector(rng)

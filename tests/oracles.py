@@ -1,6 +1,13 @@
 """Slow, independent reference routes that the test-suite checks the package
 against.  No code in ``ghzdistill`` calls them.
 
+- ``bisect_max_objective``: the maximum of the 1-D objective by bisection
+  on the sign of its log-slope, the oracle of the safeguarded Newton
+  search of ``ghzdistill.solver._max_objective``.
+- ``reference_sign_change``: where the slope of the 1-D objective changes
+  sign, by bisection in 80-digit decimal arithmetic, the oracle of the
+  point ``ghzdistill.solver._sign_change`` returns where the bisection's
+  double-precision sign test is rounding (mu2/mu1 below about 1e-4).
 - ``solve_coefficients``: the OSBP coefficients by direct constrained
   maximization over the free coefficients, the oracle of the closed-form
   coefficients of ``ghzdistill.solver.optimal_probability``.
@@ -24,6 +31,8 @@ against.  No code in ``ghzdistill`` calls them.
   ``ghzdistill.tensor.local_spectra`` and of the local ranks of
   ``ghzdistill.classification_evidence``.
 """
+import decimal
+
 import numpy as np
 
 from ghzdistill.decomposition import EntanglementClass, ProductDecomposition, decompose
@@ -32,18 +41,80 @@ from ghzdistill.fidelity import ghz_fidelity, su2
 from ghzdistill.monotone import BranchOutcome
 from ghzdistill.simulate import _effective_threshold
 from ghzdistill.solver import (
-    _balanced_pair, _completeness_residual, _smaller_balance_root, optimal_probability_value,
+    _balanced_pair, _completeness_residual, _objective, _params, _smaller_balance_root,
+    _terms, optimal_probability_value,
 )
 from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
 from ghzdistill.tolerances import MAX_SWEEPS as _MAX_SWEEPS
 from ghzdistill.tolerances import NEGLIGIBLE_BRANCH as _NEGLIGIBLE_BRANCH
+from ghzdistill.tolerances import PLATEAU_RTOL as _PLATEAU_RTOL
 from ghzdistill.tolerances import RANK_TOL as _RANK_TOL
 from ghzdistill.tolerances import SWEEP_TOL as _SWEEP_TOL
 from ghzdistill.tolerances import TIE_MARGIN as _TIE_MARGIN
+from ghzdistill.tolerances import U_TOL as _U_TOL
 from ghzdistill.tolerances import ZERO_OVERLAP as _ZERO_OVERLAP
 
 _INVPHI = (5.0 ** 0.5 - 1.0) / 2.0   # 1 / golden ratio
+
+
+# ---------------------------------------------------------- the 1-D maximum
+
+def _rising(d: ProductDecomposition, x: float) -> bool:
+    """Whether the objective strictly increases with log x at x (the sign
+    of its log-slope -(h1/r1 + h2/r2))."""
+    _, _, _, h1, h2, r1, r2 = _terms(_params(d), x)
+    return bool(h1 * r2 + h2 * r1 < 0.0)
+
+
+def bisect_max_objective(d: ProductDecomposition) -> tuple[float, float]:
+    """Global maximum (value, x*) of the objective by bisection in
+    u = log x on [0, log(mu1/mu2)] on the sign of the slope, to U_TOL, plus
+    both ends of that bracket as explicit candidates, reduced best value
+    first, then lowest x."""
+    r = d.mu1 / d.mu2
+    lo, hi = 0.0, max(float(np.log(r)), 0.0)
+    while hi - lo > _U_TOL:
+        mid = 0.5 * (lo + hi)
+        if _rising(d, float(np.exp(mid))):
+            lo = mid
+        else:
+            hi = mid
+    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, float(np.exp(lo)))]
+    best = max(v for v, _ in candidates)
+    tied = [x for v, x in candidates if v >= best - _PLATEAU_RTOL * max(1.0, best)]
+    return min(best, 1.0), min(tied)
+
+
+def reference_sign_change(d: ProductDecomposition, digits: int = 80) -> float:
+    """The u = log x in [0, log(mu1/mu2)] where the slope of the objective,
+    -(h1/r1 + h2/r2) with r the square roots of f^2 - k as written in
+    ``_objective``, changes sign: bisection to 1e-20 in ``digits``-digit
+    decimal arithmetic, from the binary values of the weights and overlaps.
+    Where mu2/mu1 = 1e-8 the two terms of the slope cancel to about six
+    digits, so 80 digits leave it far more than it needs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        mu1, mu2, sa, sb, sc = (decimal.Decimal(float(v))
+                                for v in (d.mu1, d.mu2, d.sa, d.sb, d.sc))
+        k2 = 4 * mu1 * mu1 * mu2 * mu2 * (1 - sb * sb) * (1 - sc * sc)
+
+        def slope(u):
+            x = u.exp()
+            f1 = x + 1 / x
+            f2 = mu2 * mu2 * x + 2 * mu1 * mu2 * sb * sc + mu1 * mu1 / x
+            r1 = (f1 * f1 - 4 * (1 - sa * sa)).sqrt()
+            r2 = (f2 * f2 - k2).sqrt()
+            return -((x - 1 / x) / r1 + (mu2 * mu2 * x - mu1 * mu1 / x) / r2)
+
+        lo, hi = decimal.Decimal(0), (mu1 / mu2).ln()
+        while hi - lo > decimal.Decimal("1e-20"):
+            mid = (lo + hi) / 2
+            if slope(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
 
 
 # ------------------------------------------------------------- coefficients

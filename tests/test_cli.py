@@ -304,6 +304,12 @@ def sa_file(tmp_path):
     ("audit", "psi_b_file", ["--diagonal-scan", "2"]),
     ("audit", "sa_file", ["--diagonal-scan", "5"]),
     ("audit", "psi_b_file", ["--povms", "0"]),
+    # the counts are checked before the state is read, so a non-GHZ state
+    # exits 2 for them too, not 4
+    ("simulate", "w_file", ["--trials", "0"]),
+    ("audit", "w_file", ["--povms", "0"]),
+    ("audit", "w_file", ["--diagonal-scan", "2"]),
+    ("fidelity", "w_file", ["--restarts", "0"]),
 ])
 def test_argument_outside_its_domain_exits_2(capsys, request, command, state, extra):
     rc, doc, err = run_cli(capsys, [command, request.getfixturevalue(state), *extra])
@@ -311,6 +317,16 @@ def test_argument_outside_its_domain_exits_2(capsys, request, command, state, ex
     assert doc is None
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", ["--trials", "0"]), ("audit", ["--povms", "0"]),
+    ("audit", ["--diagonal-scan", "2"]), ("fidelity", ["--restarts", "0"]),
+])
+def test_count_is_checked_before_the_state_file_is_read(capsys, tmp_path, command, extra):
+    rc, doc, err = run_cli(capsys, [command, str(tmp_path / "missing.json"), *extra])
+    assert rc == 2
+    assert err.startswith("error: " + extra[0] + " must be an integer")
 
 
 @pytest.mark.parametrize("command,module,attr,extra", [

@@ -28,8 +28,10 @@ from ghzdistill import (
 from ghzdistill.cli import main
 from ghzdistill.errors import GhzDistillError
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
+from ghzdistill.solver import U_TOL, _max_objective
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition
+from oracles import bisect_max_objective
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=75)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -91,6 +93,32 @@ def test_equal_weights_distill(seed):
 def test_zero_overlaps_distill(pinned, seed):
     d = make_decomposition(np.random.default_rng(seed), **{s: 0.0 for s in pinned})
     check_pipeline(in_random_frame(reconstruct(d), seed), must_distill=True)
+
+
+@PROPERTY
+@given(family=st.sampled_from(["W+GHZ", "W+111", "near product", "equal weights",
+                               "zero overlaps"]),
+       k=st.floats(1.0, 8.0), pinned=st.sets(st.sampled_from(["sa", "sb", "sc"]), min_size=1),
+       seed=SEEDS)
+def test_newton_search_matches_the_bisection_at_the_boundaries(family, k, pinned, seed):
+    rng = np.random.default_rng(seed)
+    if family.startswith("W+"):
+        extra = ghz_state().amps if family == "W+GHZ" else basis_state("111").amps
+        state = normalize(w_state().amps + 10.0 ** -k * extra)
+    elif family == "near product":
+        state = normalize(basis_state("000").amps + 10.0 ** -k * basis_state("111").amps)
+    elif family == "equal weights":
+        state = reconstruct(make_decomposition(rng, mu1_sq=0.5))
+    else:
+        state = reconstruct(make_decomposition(rng, **{s: 0.0 for s in pinned}))
+    try:
+        d = decompose(in_random_frame(state, seed))
+    except GhzDistillError:
+        return
+    p, x = _max_objective(d)
+    p0, x0 = bisect_max_objective(d)
+    assert abs(p - p0) <= 1e-15
+    assert abs(np.log(x) - np.log(x0)) <= U_TOL
 
 
 # ------------------------------------------------------- CLI input boundary

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ghzdistill import (
     PovmTriple,
+    ProductDecomposition,
     apply_local,
     basis_state,
     build_povms,
@@ -18,12 +22,19 @@ from ghzdistill import (
     reconstruct,
     w_state,
 )
-from ghzdistill.errors import InvariantViolationError, PreconditionViolatedError
+from ghzdistill.errors import (
+    GhzDistillError, InvariantViolationError, PreconditionViolatedError,
+)
+from ghzdistill import solver
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
-from ghzdistill.solver import X_HI, X_LO, _objective, _rising
+from ghzdistill.solver import (
+    U_TOL, X_HI, X_LO, _max_objective, _objective, _params, _sign_change, _slope_ratio,
+)
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
-from oracles import reduced_density, solve_coefficients
+from oracles import (
+    bisect_max_objective, reduced_density, reference_sign_change, solve_coefficients,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -325,7 +336,7 @@ def test_log_objective_is_concave_in_log_x():
     us = np.linspace(np.log(X_LO), np.log(X_HI), 2001)
     for name, ds in _families(np.random.default_rng(31), 5).items():
         for d in ds:
-            rising = np.array([_rising(d, float(np.exp(u))) for u in us])
+            rising = np.array([_slope_ratio(_params(d), float(np.exp(u)))[0] for u in us])
             switches = np.flatnonzero(rising[:-1] != rising[1:])
             assert len(switches) <= 1, name
             assert rising[us < 0.0].all(), name
@@ -346,6 +357,106 @@ def test_fast_path_against_grid_and_coefficient_oracles():
                                  - _residuals(d, oracle)) <= 1e-10), name
             if name != "sa=sb=sc=0":   # the only family with a plateau of optima
                 assert sol.coefficients == pytest.approx(oracle, abs=1e-6), name
+
+
+# --------------------------------------------- Newton search against oracles
+
+RATIOS = [10.0 ** -k for k in range(1, 9)]
+END_FAMILIES = {"sa=0": "x = 1", "sa=sb=0": "x = 1", "sa=sb=sc=0": "x = 1",
+                "sb=sc=0": "x = mu1/mu2"}
+
+
+def _ratio_families(rng, n):
+    return {f"ratio {q:g}": [make_decomposition(rng, ratio=q) for _ in range(n)]
+            for q in RATIOS}
+
+
+def test_newton_search_against_the_bisection_oracle():
+    # below mu2/mu1 = 1e-4 the bisection's sign test, h1 r2 + h2 r1 < 0, is
+    # rounding over a band of u wider than U_TOL (7e-12 at 1e-5), so its x*
+    # is no reference there; the next test checks the search at 80 digits
+    fams = {**_families(np.random.default_rng(40), 8),
+            **_ratio_families(np.random.default_rng(41), 8)}
+    for name, ds in fams.items():
+        for d in ds:
+            p, x = _max_objective(d)
+            p0, x0 = bisect_max_objective(d)
+            assert abs(p - p0) <= 1e-15, name
+            if name in END_FAMILIES:
+                # the same end wins, and the search returns it exactly
+                end = 1.0 if END_FAMILIES[name] == "x = 1" else float(d.mu1) / float(d.mu2)
+                assert x == end, name
+                assert abs(math.log(x0) - math.log(end)) <= U_TOL, name
+            elif d.mu2 / d.mu1 > 0.5e-4:
+                assert abs(math.log(x) - math.log(x0)) <= U_TOL, name
+
+
+def test_newton_search_against_the_80_digit_sign_change():
+    # the point the search returns still rises and lies within U_TOL of the
+    # sign change of the exact slope -(h1/r1 + h2/r2), for every weight ratio
+    for name, ds in _ratio_families(np.random.default_rng(42), 4).items():
+        for d in ds:
+            u_ref = reference_sign_change(d)
+            u = math.log(_sign_change(d))
+            assert u_ref - U_TOL <= u <= u_ref + 1e-15, name
+
+
+def test_newton_search_takes_few_slope_evaluations(monkeypatch):
+    # a fall-back to bisection would take about 40 evaluations per search
+    calls = []
+    monkeypatch.setattr(solver, "_slope_ratio",
+                        lambda w, x: calls.append(x) or _slope_ratio(w, x))
+    fams = {**_families(np.random.default_rng(43), 10),
+            **_ratio_families(np.random.default_rng(44), 10)}
+    counts = {}
+    for name, ds in fams.items():
+        for d in ds:
+            calls.clear()
+            _sign_change(d)
+            counts.setdefault(name, []).append(len(calls))
+    for name in END_FAMILIES:
+        assert counts[name] == [0] * 10, name
+    assert max(max(c) for c in counts.values()) <= 9
+    assert np.mean(counts["haar"]) <= 6
+
+
+def test_slope_ratio_derivative_matches_a_central_difference():
+    h = 1e-5
+    for name, ds in {**_families(np.random.default_rng(45), 4),
+                     **_ratio_families(np.random.default_rng(46), 2)}.items():
+        if name in END_FAMILIES:
+            continue
+        for d in ds:
+            w = _params(d)
+            for u in np.linspace(0.0, np.log(d.mu1 / d.mu2), 7)[1:-1]:
+                _, phi, dphi = _slope_ratio(w, float(np.exp(u)))
+                diff = (_slope_ratio(w, float(np.exp(u + h)))[1]
+                        - _slope_ratio(w, float(np.exp(u - h)))[1]) / (2.0 * h)
+                assert dphi < 0.0, name
+                assert dphi == pytest.approx(diff, rel=1e-6), name
+                assert (phi > 0.0) == _slope_ratio(w, float(np.exp(u)))[0], name
+
+
+@pytest.mark.parametrize("mu2", [1e-8, 1e-100, 1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_extreme_weight_ratios_end_in_the_oracle_value_or_a_typed_error(mu2, s):
+    # the Newton search runs in Python floats, where a division by an
+    # underflowed number raises instead of warning
+    v = np.array([1.0, 0.0])
+    w = np.array([s, np.sqrt(1.0 - s * s)])
+    mu1 = np.sqrt(1.0 - mu2 * mu2)
+    d = ProductDecomposition(mu1=mu1, mu2=mu2, phi=np.pi / 2, a1=v, a2=w, b1=v, b2=w,
+                             c1=v, c2=w, sa=s, sb=s, sc=s)
+    with np.errstate(over="ignore"):   # the oracle squares x up to mu1/mu2 in NumPy
+        p0, _ = bisect_max_objective(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(optimal_probability_value(d) - p0) <= 1e-15
+        try:
+            sol = optimal_probability(d)
+        except GhzDistillError:
+            return
+    assert abs(sol.p_opt - p0) <= 1e-15
 
 
 # ------------------------------------------------------------------- POVMs

@@ -18,13 +18,14 @@ summing to -phi.  The branch probability is then p = 2 (alpha1 beta1
 gamma1 mu1)^2 and its maximum over the constraint curves reduces to a 1-D
 objective in x = alpha2/alpha1 > 0, written once here (``_objective``).
 
-The production path finds where that objective's slope in log x changes
-sign on [1, mu1/mu2] by a safeguarded Newton iteration that certifies its
-answer to U_TOL with two sign probes (``_sign_change``, ``_max_objective``);
-it takes about five slope evaluations.  The six
-magnitudes follow from the optimum x* in closed form: Alice's pair from
-the ratio 1/x*, Bob's and Claire's from the two-site ratio formula with
-Alice's filtering folded into the weights.  The grid search
+The production path (``_max_objective``) takes x* to be where that
+objective's slope in log x changes sign on [1, mu1/mu2], found by a
+safeguarded Newton iteration in about five slope evaluations and certified
+to U_TOL by two sign probes, or the end of that range where a zero overlap
+puts the optimum; the probability is the objective at x*.  The six
+magnitudes follow from x* in closed form: Alice's pair from the ratio
+1/x*, Bob's and Claire's from the two-site ratio formula with Alice's
+filtering folded into the weights.  The grid search
 (``grid_search_probability``) is an independent slow route, kept as a
 test oracle of the fast path; the bisection that the Newton iteration
 replaced is ``bisect_max_objective`` in ``tests/oracles.py``, beside the
@@ -43,7 +44,7 @@ from .errors import InvariantViolationError, PreconditionViolatedError
 from .tensor import apply_local, check_int, fidelity_with, ghz_state, normalize
 from .tolerances import (
     COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, NEWTON_STEP_TOL, ORTHOGONAL_SITE_TOL,
-    PHASE_TOL, PLATEAU_RTOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
+    PHASE_TOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
 )
 
 
@@ -242,28 +243,56 @@ def grid_search_probability(d: ProductDecomposition,
     return float(best), float(np.exp(best_u))
 
 
-def _sign_change(d: ProductDecomposition) -> float:
-    """The x_lo = exp(lo) at which the objective still rises, lo within
-    U_TOL of the u = log x where its slope changes sign in [0, log(mu1/mu2)]
-    (see ``_max_objective``); an end of that bracket when the sign
-    change sits there.
+def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
+    """Global maximum (value, x*) of the objective: x* is the point where
+    its slope in u = log x changes sign in [0, log(mu1/mu2)], certified to
+    U_TOL from below (the objective still rises there), or the end of that
+    bracket where the sign change sits.
 
-    The zero overlaps settle the ends without an evaluation: at sa = 0 the
-    value falls from x = 1 on (on the sa = sb = sc = 0 plateau it is
-    flat), and at sb = sc = 0 with sa > 0 it rises up to its cusp at
-    x = mu1/mu2.  Otherwise the slope is positive at u = 0 and negative at
-    log(mu1/mu2), and a safeguarded Newton iteration on phi = log(a/b) of
-    ``_slope_ratio`` runs from the middle of the bracket.  phi falls with u
-    and is nearly linear in u where the slope is exponentially small, so
-    Newton converges in a few steps for any weight ratio.  Each evaluation
-    moves an end of the bracket by the sign of the slope.  A step that
-    leaves the bracket, a derivative that is not negative (NaN included),
-    or a step longer than half the move before the last, as in Numerical
-    Recipes' rtsafe, is replaced by the midpoint.  A step shorter than
-    NEWTON_STEP_TOL is taken and certified: the sign is probed U_TOL/4 to
-    either side, which leaves a bracket of width U_TOL/2 when the probes
-    straddle the sign change, and the iteration goes on from the midpoint
-    otherwise.
+    With u = log x, L = log(mu1/mu2) >= 0 (a mu1 a rounding error below
+    mu2 counts as L = 0) and v = u - L,
+
+        f1 = 2 cosh u,
+        f2 = 2 mu1 mu2 cosh v + 2 mu1 mu2 sb sc,
+        value = F1(f1) F2(f2) / 2,   F(f) = f - sqrt(f^2 - k),
+
+    with k1 = 4(1 - sa^2), k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).  Each F is
+    positive and decreasing in f, F'(f) = -F/sqrt(f^2 - k), so
+
+        d log(value)/du = -(h1/r1 + h2/r2)
+            = -sinh u / sqrt(sinh^2 u + sa^2)
+              - sinh v / sqrt(sinh^2 v + 2 sb sc cosh v + sb^2 + sc^2).
+
+    Each quotient is nondecreasing in u; their derivatives are
+    sa^2 cosh u / (...)^(3/2) and (sb sc (cosh^2 v + 1)
+    + (sb^2 + sc^2) cosh v) / (...)^(3/2).  So log(value) is concave in u
+    and the maximum is where the sign of the slope changes.  For u < 0
+    both quotients are negative, so the value rises; for u > L both are
+    positive, so it falls: the maximum lies in [0, L], that is x* in
+    [1, mu1/mu2].  The concavity is strict, and the maximizer unique,
+    unless sa = sb = sc = 0; then the slope is 0 on all of (0, L), the
+    value is 2 mu2^2 there, and the lowest x, x* = 1, is returned.
+
+    Searching on the slope's sign rather than comparing values pins x* to
+    the tolerance even where the value is flat to rounding (mu2 << mu1),
+    which the closed-form coefficients need.  The zero overlaps settle the
+    ends without an evaluation: at sa = 0 the value falls from its cusp at
+    x = 1 on (on the sa = sb = sc = 0 plateau it is flat), and at
+    sb = sc = 0 with sa > 0 it rises up to its cusp at x = mu1/mu2; these
+    cusps are the only ones, and x* is then that end exactly.  Otherwise
+    the slope is positive at u = 0 and negative at L, and a safeguarded
+    Newton iteration on phi = log(a/b) of ``_slope_ratio`` runs from the
+    middle of the bracket.  phi falls with u and is nearly linear in u
+    where the slope is exponentially small, so Newton converges in a few
+    steps for any weight ratio.  Each evaluation moves an end of the
+    bracket by the sign of the slope.  A step that leaves the bracket, a
+    derivative that is not negative (NaN included), or a step longer than
+    half the move before the last, as in Numerical Recipes' rtsafe, is
+    replaced by the midpoint.  A step shorter than NEWTON_STEP_TOL is
+    taken and certified: the sign is probed U_TOL/4 to either side, which
+    leaves a bracket of width U_TOL/2 when the probes straddle the sign
+    change, and the iteration goes on from the midpoint otherwise.  The
+    objective is evaluated once, at x*.
     """
     w = _params(d)
     mu1, mu2, sa, sb, sc = w
@@ -301,55 +330,9 @@ def _sign_change(d: ProductDecomposition) -> float:
             target = 0.5 * (lo + hi)
         step_before, step = step, target - u
         u = target
-    return x_lo
-
-
-def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
-    """Global maximum (value, x*) of the objective: the point where its
-    slope in u = log x changes sign in [0, log(mu1/mu2)] (``_sign_change``)
-    plus both ends of that bracket as explicit candidates, reduced best
-    value first, then lowest x.
-
-    With u = log x, L = log(mu1/mu2) >= 0 (a mu1 a rounding error below
-    mu2 counts as L = 0) and v = u - L,
-
-        f1 = 2 cosh u,
-        f2 = 2 mu1 mu2 cosh v + 2 mu1 mu2 sb sc,
-        value = F1(f1) F2(f2) / 2,   F(f) = f - sqrt(f^2 - k),
-
-    with k1 = 4(1 - sa^2), k2 = 4 mu1^2 mu2^2 (1-sb^2)(1-sc^2).  Each F is
-    positive and decreasing in f, F'(f) = -F/sqrt(f^2 - k), so
-
-        d log(value)/du = -(h1/r1 + h2/r2)
-            = -sinh u / sqrt(sinh^2 u + sa^2)
-              - sinh v / sqrt(sinh^2 v + 2 sb sc cosh v + sb^2 + sc^2).
-
-    Each quotient is nondecreasing in u; their derivatives are
-    sa^2 cosh u / (...)^(3/2) and (sb sc (cosh^2 v + 1)
-    + (sb^2 + sc^2) cosh v) / (...)^(3/2).  So log(value) is concave in u
-    and the maximum is where the sign of the slope changes.  For u < 0
-    both quotients are negative, so the value rises; for u > L both are
-    positive, so it falls: the maximum lies in [0, L], that is x* in
-    [1, mu1/mu2].  The concavity is strict, and the maximizer unique,
-    unless sa = sb = sc = 0; then the slope is 0 on all of (0, L), the
-    value is 2 mu2^2 there, and the lowest x, x* = 1, wins.
-
-    Searching on the slope's sign rather than comparing values pins x* to
-    the tolerance even where the value is flat to rounding (mu2 << mu1),
-    which the closed-form coefficients need.  The objective has a cusp
-    only where a radicand vanishes at the maximum: x = 1 for sa = 0 and
-    x = mu1/mu2 for sb = sc = 0, the ends of the bracket, so both ends are
-    evaluated exactly.
-    """
-    x_lo = _sign_change(d)
-    mu1, mu2 = _params(d)[:2]
-    r = mu1 / mu2
-    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, x_lo)]
-    best = max(v for v, _ in candidates)
-    tied = [x for v, x in candidates if v >= best - PLATEAU_RTOL * max(1.0, best)]
     # rounding in the decomposition data can push the evaluated maximum a few
     # ulp above 1; the value is a probability, so cap it there
-    return min(best, 1.0), min(tied)
+    return min(_objective(d, x_lo), 1.0), x_lo
 
 
 def optimal_probability_value(d: ProductDecomposition) -> float:
@@ -405,7 +388,8 @@ def closed_form_one_site(d: ProductDecomposition) -> float:
 
     Requires sa = sb = 0; the value equals twice the smallest eigenvalue of
     the single-party reduction of the acting site.  It is the two-site
-    closed form at sb = 0, where its prefactor and 1 - sb^2 are exactly 1.
+    closed form at sb = 0, where its prefactor is the norm mu1^2 + mu2^2 and
+    1 - sb^2 is exactly 1.
     """
     if d.sa > ORTHOGONAL_SITE_TOL or d.sb > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(
@@ -428,7 +412,9 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     """Optimal probability and coefficient ratios when Alice's pair is
     orthogonal (sa = 0); only the other two parties need to act.
 
-    The ratio formulas are stated with the term-1 coefficient in the
+    The probability is p = pref - sqrt(pref^2 - k2) with
+    pref = mu1^2 + mu2^2 + 2 mu1 mu2 sb sc and
+    k2 = 4 mu1^2 mu2^2 (1 - sb^2)(1 - sc^2).  The ratio formulas are stated with the term-1 coefficient in the
     numerator: ratio_beta = (mu2/mu1)(mu2*sb + mu1*sc)/(mu1*sb + mu2*sc)
     and ratio_beta * ratio_gamma = (mu2/mu1)^2, as required by the balance
     condition (term 1 carries the larger weight, so its coefficients are
@@ -439,10 +425,17 @@ def closed_form_two_sites(d: ProductDecomposition) -> TwoSiteClosedForm:
     if d.sa > ORTHOGONAL_SITE_TOL:
         raise PreconditionViolatedError(f"two-site closed form needs sa = 0, got {d.sa!r}")
     mu1, mu2, sb, sc = d.mu1, d.mu2, d.sb, d.sc
-    pref = 1.0 + 2.0 * mu1 * mu2 * sb * sc
-    k2 = 4.0 * mu1 ** 2 * mu2 ** 2 * (1.0 - sb ** 2) * (1.0 - sc ** 2)
-    # pref (1 - sqrt(1 - a)), a = k2/pref^2, without the cancellation for small a
-    p = (k2 / pref) / (1.0 + np.sqrt(max(0.0, 1.0 - k2 / pref ** 2)))
+    # the norm g = mu1^2 + mu2^2 is 1 at sa = 0 up to the rounding of the
+    # stored weights, which the value keeps, as the 1-D objective does
+    m, g = mu1 * mu2, mu1 * mu1 + mu2 * mu2
+    pref = g + 2.0 * m * sb * sc
+    k2 = 4.0 * m * m * (1.0 - sb * sb) * (1.0 - sc * sc)
+    # pref - sqrt(pref^2 - k2) as k2/(pref + sqrt(.)), the radicand written as
+    # a sum of nonnegative terms, so neither cancels as p nears pref; capped
+    # at 1 like the 1-D maximum
+    root = np.sqrt(((mu1 - mu2) * (mu1 + mu2)) ** 2 + 4.0 * m * sb * sc * g
+                   + 4.0 * m * m * (sb * sb + sc * sc))
+    p = min(k2 / (pref + root), 1.0)
     ratio_beta, ratio_gamma = _two_site_ratios(mu1, mu2, sb, sc)
     return TwoSiteClosedForm(p=float(p), ratio_beta=float(ratio_beta),
                              ratio_gamma=float(ratio_gamma),

@@ -159,8 +159,9 @@ def check_tol(tol: float) -> None:
 
 
 def check_int(name: str, value: int, low: int) -> None:
-    """Raise PreconditionViolatedError unless ``value`` is an integer >= low."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """Raise PreconditionViolatedError unless ``value`` is an integer >= low;
+    a bool is a flag, not a count, and is refused too."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         raise PreconditionViolatedError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

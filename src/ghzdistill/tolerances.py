@@ -54,12 +54,10 @@ X_LO = 1e-6  (solver)
 X_HI = 1e6  (solver)
     the x range of ``grid_search_probability``
 U_TOL = 1e-12  (solver)
-    width in u = log x at which the search for the optimum stops
+    width in u = log x to which the search certifies the optimum x*
 NEWTON_STEP_TOL = 1e-8  (solver)
     a Newton step in u shorter than this is certified by two sign probes
     U_TOL/4 to either side
-PLATEAU_RTOL = 1e-12  (solver)
-    objective values this close, relative, are one maximum
 ORTHOGONAL_SITE_TOL = 1e-10  (solver, monotone)
     a site counts as orthogonal for the sa = 0 families: the closed
     forms and the diagonal family
@@ -158,8 +156,6 @@ U_TOL = 1e-12
 # here ~1e-16 |phi''/phi'|, far inside U_TOL/4; at 1e-6 the probes start
 # to miss the sign change, and below 1e-7 steps gain nothing
 NEWTON_STEP_TOL = 1e-8
-# ties on the sa = sb = sc = 0 plateau resolve to the lowest x
-PLATEAU_RTOL = 1e-12
 # decompose reports such overlaps as exactly 0; hand-built ones may carry
 # more rounding
 ORTHOGONAL_SITE_TOL = 1e-10

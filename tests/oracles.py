@@ -5,9 +5,10 @@ against.  No code in ``ghzdistill`` calls them.
   on the sign of its log-slope, the oracle of the safeguarded Newton
   search of ``ghzdistill.solver._max_objective``.
 - ``reference_sign_change``: where the slope of the 1-D objective changes
-  sign, by bisection in 80-digit decimal arithmetic, the oracle of the
-  point ``ghzdistill.solver._sign_change`` returns where the bisection's
-  double-precision sign test is rounding (mu2/mu1 below about 1e-4).
+  sign, by bisection in 80-digit decimal arithmetic, the oracle of the x*
+  of ``ghzdistill.solver._max_objective`` where the bisection's
+  double-precision sign test is rounding (mu2/mu1 below about 1e-4, or an
+  overlap at rounding level).
 - ``solve_coefficients``: the OSBP coefficients by direct constrained
   maximization over the free coefficients, the oracle of the closed-form
   coefficients of ``ghzdistill.solver.optimal_probability``.
@@ -48,7 +49,6 @@ from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
 from ghzdistill.tolerances import MAX_SWEEPS as _MAX_SWEEPS
 from ghzdistill.tolerances import NEGLIGIBLE_BRANCH as _NEGLIGIBLE_BRANCH
-from ghzdistill.tolerances import PLATEAU_RTOL as _PLATEAU_RTOL
 from ghzdistill.tolerances import RANK_TOL as _RANK_TOL
 from ghzdistill.tolerances import SWEEP_TOL as _SWEEP_TOL
 from ghzdistill.tolerances import TIE_MARGIN as _TIE_MARGIN
@@ -68,10 +68,10 @@ def _rising(d: ProductDecomposition, x: float) -> bool:
 
 
 def bisect_max_objective(d: ProductDecomposition) -> tuple[float, float]:
-    """Global maximum (value, x*) of the objective by bisection in
-    u = log x on [0, log(mu1/mu2)] on the sign of the slope, to U_TOL, plus
-    both ends of that bracket as explicit candidates, reduced best value
-    first, then lowest x."""
+    """(value, x) of the objective by bisection in u = log x on
+    [0, log(mu1/mu2)] on the sign of the slope, to U_TOL: the best value
+    of the bisection point and both ends of that bracket, and the
+    bisection point x = exp(lo), at which the objective still rises."""
     r = d.mu1 / d.mu2
     lo, hi = 0.0, max(float(np.log(r)), 0.0)
     while hi - lo > _U_TOL:
@@ -80,10 +80,9 @@ def bisect_max_objective(d: ProductDecomposition) -> tuple[float, float]:
             lo = mid
         else:
             hi = mid
-    candidates = [(float(_objective(d, x)), x) for x in (1.0, r, float(np.exp(lo)))]
-    best = max(v for v, _ in candidates)
-    tied = [x for v, x in candidates if v >= best - _PLATEAU_RTOL * max(1.0, best)]
-    return min(best, 1.0), min(tied)
+    x = float(np.exp(lo))
+    best = max(float(_objective(d, t)) for t in (1.0, r, x))
+    return min(best, 1.0), x
 
 
 def reference_sign_change(d: ProductDecomposition, digits: int = 80) -> float:

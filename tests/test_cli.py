@@ -227,6 +227,20 @@ def test_distill_not_ghz_found_by_decompose_exits_4(capsys, tmp_path):
     assert doc["result"]["p_opt"] == pytest.approx(closed_form_one_site(d), rel=1e-12)
 
 
+def test_distill_coefficients_realize_a_tiny_p_opt(capsys, tmp_path):
+    # mu2/mu1 = 1e-6: p_opt is about 1e-12, below any absolute tie between
+    # the ends of the search range and the optimum, so the reported
+    # coefficients must come from the optimum itself
+    d = make_decomposition(np.random.default_rng(1), ratio=1e-6, sa=0.5, sb=0.5, sc=0.5)
+    path = write_state(tmp_path / "tiny.json", reconstruct(d).amps)
+    rc, doc, _ = run_cli(capsys, ["distill", "--tol", "1e-14", path])
+    assert rc == 0
+    res = doc["result"]
+    c = res["coefficients"]
+    p = 2.0 * (c["alpha1"] * c["beta1"] * c["gamma1"] * res["decomposition"]["mu1"]) ** 2
+    assert abs(p / res["p_opt"] - 1.0) <= 1e-14
+
+
 def test_distill_vanishing_quadratic_exits_4(capsys, tmp_path):
     # every local rank is 2 at --tol 1e-20; the coarse rank retry of the
     # vanishing product-vector quadratic finds a product state

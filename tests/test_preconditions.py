@@ -41,10 +41,13 @@ CASES = {
     "run_protocol trials 2.5": lambda: run_protocol(ghz_state(), _IDENTITY, 2.5, 0),
     "run_protocol seed -1": lambda: run_protocol(ghz_state(), _IDENTITY, 10, -1),
     "run_protocol seed 1.5": lambda: run_protocol(ghz_state(), _IDENTITY, 10, 1.5),
+    "run_protocol trials True": lambda: run_protocol(ghz_state(), _IDENTITY, True, 0),
+    "run_protocol seed False": lambda: run_protocol(ghz_state(), _IDENTITY, 10, False),
     "scan_diagonal_family steps 2": lambda: scan_diagonal_family(ghz_state(), 2),
     "scan_diagonal_family steps 3.5": lambda: scan_diagonal_family(ghz_state(), 3.5),
     "optimal_lu_fidelity restarts 0": lambda: optimal_lu_fidelity(ghz_state(), restarts=0),
     "optimal_lu_fidelity restarts 2.5": lambda: optimal_lu_fidelity(ghz_state(), restarts=2.5),
+    "optimal_lu_fidelity restarts True": lambda: optimal_lu_fidelity(ghz_state(), restarts=True),
     "optimal_lu_fidelity seed -1": lambda: optimal_lu_fidelity(ghz_state(), seed=-1),
     "optimal_lu_fidelity seed 1.5": lambda: optimal_lu_fidelity(ghz_state(), seed=1.5),
     "diagonal_family_audit x above 1": lambda: diagonal_family_audit(psi_b(), 1.1),

@@ -28,7 +28,7 @@ from ghzdistill.errors import (
 from ghzdistill import solver
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import (
-    U_TOL, X_HI, X_LO, _max_objective, _objective, _params, _sign_change, _slope_ratio,
+    U_TOL, X_HI, X_LO, _max_objective, _objective, _params, _slope_ratio,
 )
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition, psi_b, random_ghz_state
@@ -233,6 +233,21 @@ def test_two_sites_precondition():
         closed_form_two_sites(make_decomposition(rng, sa=0.4))
 
 
+@pytest.mark.parametrize("s", [0.0, 1e-9, 1e-6])
+def test_closed_forms_near_ghz_match_the_1d_optimum_to_rounding(s):
+    # near GHZ, p = pref - sqrt(pref^2 - k2) nears pref, and a radicand
+    # formed as 1 - k2/pref^2 loses its digits to cancellation
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        for pinned, closed_form in (({"sb": 0.0, "sc": s}, closed_form_one_site),
+                                    ({"sb": s, "sc": s},
+                                     lambda d: closed_form_two_sites(d).p)):
+            d = make_decomposition(rng, mu1_sq=0.5, sa=0.0, **pinned)
+            st = apply_local_unitaries(reconstruct(d), *random_local_unitaries(rng))
+            d = decompose(st)
+            assert abs(closed_form(d) - optimal_probability_value(d)) <= 1e-15
+
+
 def test_two_sites_balance_identity_of_ratios():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -397,23 +412,45 @@ def test_newton_search_against_the_80_digit_sign_change():
     for name, ds in _ratio_families(np.random.default_rng(42), 4).items():
         for d in ds:
             u_ref = reference_sign_change(d)
-            u = math.log(_sign_change(d))
+            u = math.log(_max_objective(d)[1])
             assert u_ref - U_TOL <= u <= u_ref + 1e-15, name
 
 
+def test_coefficients_realize_p_opt_to_rounding():
+    # x* is the certified sign change, not an end whose value ties with the
+    # optimum to 1e-12 absolute: where p_opt is tiny (mu2/mu1 = 1e-6) or
+    # flat in x (near W), such an end gives coefficients that miss p_opt
+    fams = {**_families(np.random.default_rng(47), 6),
+            **_ratio_families(np.random.default_rng(48), 6),
+            "ratio 1e-6, s = 0.5": [make_decomposition(
+                np.random.default_rng(49), ratio=1e-6, sa=0.5, sb=0.5, sc=0.5)],
+            "W+GHZ": [decompose(normalize(w_state().amps + 10.0 ** -k * ghz_state().amps))
+                      for k in range(1, 5)]}
+    for name, ds in fams.items():
+        for d in ds:
+            sol = optimal_probability(d)
+            p = 2.0 * (sol.alpha1 * sol.beta1 * sol.gamma1 * d.mu1) ** 2
+            assert abs(p / sol.p_opt - 1.0) <= 1e-14, name
+
+
 def test_newton_search_takes_few_slope_evaluations(monkeypatch):
-    # a fall-back to bisection would take about 40 evaluations per search
-    calls = []
+    # a fall-back to bisection would take about 40 evaluations per search;
+    # the objective itself is evaluated once, at x*
+    calls, values = [], []
     monkeypatch.setattr(solver, "_slope_ratio",
                         lambda w, x: calls.append(x) or _slope_ratio(w, x))
+    monkeypatch.setattr(solver, "_objective",
+                        lambda d, x: values.append(x) or _objective(d, x))
     fams = {**_families(np.random.default_rng(43), 10),
             **_ratio_families(np.random.default_rng(44), 10)}
     counts = {}
     for name, ds in fams.items():
         for d in ds:
             calls.clear()
-            _sign_change(d)
+            values.clear()
+            _max_objective(d)
             counts.setdefault(name, []).append(len(calls))
+            assert len(values) == 1, name
     for name in END_FAMILIES:
         assert counts[name] == [0] * 10, name
     assert max(max(c) for c in counts.values()) <= 9

@@ -11,7 +11,6 @@ from .decomposition import (
     classification_evidence,
     classify,
     decompose,
-    dual_basis,
     reconstruct,
 )
 from .fidelity import LocalUnitaryTriple, ghz_fidelity, optimal_lu_fidelity
@@ -67,7 +66,6 @@ __all__ = [
     "closed_form_two_sites",
     "decompose",
     "diagonal_family_audit",
-    "dual_basis",
     "ghz_fidelity",
     "ghz_state",
     "grid_search_probability",

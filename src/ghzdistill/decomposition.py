@@ -24,6 +24,7 @@ Conventions fixed here (all needed for deterministic output):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,13 +35,12 @@ from .errors import (
     IllConditionedError,
     InvariantViolationError,
     NotGHZClassError,
-    ParallelVectorsError,
 )
 from .tensor import State3Q, check_tol, local_spectra, normalize, spectral_ranks, vector_norm
 from .tolerances import (
     COARSE_RANK_FACTOR, COARSE_RANK_FLOOR, DOUBLE_ROOT_TOL, LSTSQ_RESIDUAL_TOL,
-    NORM_IDENTITY_TOL, OVERLAP_TOL, PARALLEL_TOL, PHASE_COMPONENT_CUT, PRODUCT_ANGLE_TOL,
-    RANK_TOL, TIE_TOL, UNIT_VECTOR_TOL, VANISHING_QUADRATIC_RTOL, ZERO_NORM, ZERO_OVERLAP,
+    NORM_IDENTITY_TOL, OVERLAP_TOL, PHASE_COMPONENT_CUT, PRODUCT_ANGLE_TOL, RANK_TOL,
+    TIE_TOL, UNIT_VECTOR_TOL, VANISHING_QUADRATIC_RTOL, ZERO_OVERLAP,
 )
 
 
@@ -78,40 +78,44 @@ class ProductDecomposition:
     sc: float
 
     def __post_init__(self):
-        # every check is written so that a NaN fails it
+        # every check runs on Python scalars, where a product that overflows
+        # is inf without a warning, and is written so that a NaN or an inf
+        # fails it
+        vectors = []
         for name in ("a1", "a2", "b1", "b2", "c1", "c2"):
-            v = np.array(np.reshape(getattr(self, name), 2), dtype=np.complex128)
-            if not abs(vector_norm(v) - 1.0) <= UNIT_VECTOR_TOL:
+            v = np.asarray(getattr(self, name), dtype=np.complex128).reshape(2).copy()
+            z0, z1 = v.tolist()
+            norm = math.sqrt(z0.real * z0.real + z0.imag * z0.imag
+                             + z1.real * z1.real + z1.imag * z1.imag)
+            if not abs(norm - 1.0) <= UNIT_VECTOR_TOL:
                 raise InvariantViolationError(f"local vector {name} is not unit norm")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+            vectors.append((z0, z1))
         # the equal-weight tie-break orders terms by their local vectors, so
         # mu1 may sit a rounding error below mu2; the solver brackets its
         # optimum by mu1/mu2, so that ratio must be finite
-        if not (self.mu1 >= self.mu2 - TIE_TOL and self.mu2 > 0.0
-                and np.isfinite(self.mu1 / self.mu2)):
+        mu1, mu2 = float(self.mu1), float(self.mu2)
+        if not (mu1 >= mu2 - TIE_TOL and mu2 > 0.0 and math.isfinite(mu1 / mu2)):
             raise InvariantViolationError(
                 "weights must satisfy mu1 >= mu2 > 0 with mu1/mu2 finite")
         for s, name in ((self.sa, "sa"), (self.sb, "sb"), (self.sc, "sc")):
             if not (0.0 <= s < 1.0):
                 raise InvariantViolationError(f"overlap {name}={s!r} outside [0, 1)")
-        stored = (self.sa, self.sb, self.sc)
-        actual = (
-            np.vdot(self.a1, self.a2),
-            np.vdot(self.b1, self.b2),
-            np.vdot(self.c1, self.c2),
-        )
-        for s, o, name in zip(stored, actual, ("sa", "sb", "sc")):
-            if not abs(o - s) <= OVERLAP_TOL:
+        stored = (float(self.sa), float(self.sb), float(self.sc))
+        for s, (x0, x1), (y0, y1), name in zip(stored, vectors[0::2], vectors[1::2],
+                                               ("sa", "sb", "sc")):
+            o = x0.conjugate() * y0 + x1.conjugate() * y1
+            if not math.hypot(o.real - s, o.imag) <= OVERLAP_TOL:
                 raise InvariantViolationError(
                     f"stored overlap {name}={s!r} disagrees with vectors ({o!r})"
                 )
-        # np.cos of an infinite phi warns before the identity could fail
-        if not abs(self.phi) < np.inf:
+        # cos of an infinite phi is a ValueError before the identity could fail
+        phi = float(self.phi)
+        if not abs(phi) < math.inf:
             raise InvariantViolationError(f"phase phi={self.phi!r} is not finite")
-        norm2 = (self.mu1 ** 2 + self.mu2 ** 2
-                 + 2.0 * self.mu1 * self.mu2 * np.cos(self.phi)
-                 * self.sa * self.sb * self.sc)
+        sa, sb, sc = stored
+        norm2 = mu1 * mu1 + mu2 * mu2 + 2.0 * mu1 * mu2 * math.cos(phi) * sa * sb * sc
         if not abs(norm2 - 1.0) <= NORM_IDENTITY_TOL:
             raise InvariantViolationError(
                 f"decomposition normalization identity off by {norm2 - 1.0:.3e}"
@@ -127,24 +131,6 @@ def reconstruct(d: ProductDecomposition) -> State3Q:
     raw = (d.mu1 * _kron3(d.a1, d.b1, d.c1)
            + d.mu2 * np.exp(1j * d.phi) * _kron3(d.a2, d.b2, d.c2))
     return normalize(raw)
-
-
-def dual_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biorthogonal pair (w1, w2) with <w_i|v_j> = delta_ij.
-
-    The inputs must be linearly independent; the outputs are in general not
-    normalized.
-    """
-    v1 = np.asarray(v1, dtype=np.complex128).reshape(2)
-    v2 = np.asarray(v2, dtype=np.complex128).reshape(2)
-    n1, n2 = vector_norm(v1), vector_norm(v2)
-    if n1 < ZERO_NORM or n2 < ZERO_NORM:
-        raise ParallelVectorsError("dual basis of a zero vector")
-    if abs(np.vdot(v1, v2)) / (n1 * n2) >= 1.0 - PARALLEL_TOL:
-        raise ParallelVectorsError("vectors are numerically parallel")
-    m = np.column_stack([v1, v2])
-    dual = np.linalg.inv(m).conj().T
-    return dual[:, 0], dual[:, 1]
 
 
 def _quadratic_coeffs(w0: np.ndarray, w1: np.ndarray) -> tuple[complex, complex, complex]:

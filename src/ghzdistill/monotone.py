@@ -46,7 +46,7 @@ from .decomposition import (
 )
 from .errors import InvariantViolationError, PreconditionViolatedError
 from .sampling import crandn
-from .solver import _completeness_residual, optimal_probability_value
+from .solver import _completeness_residual, _entries, optimal_probability_value
 from .tensor import (
     State3Q, _ops_for, apply_local, check_int, check_tol, normalize, vector_norm,
 )
@@ -184,7 +184,7 @@ def audit_povm(state: State3Q, povm_pair, party: str,
     """
     check_tol(tol)
     m0, m1 = povm_pair
-    if not _completeness_residual(m0, m1) <= COMPLETE_TOL:
+    if not _completeness_residual(_entries(m0), _entries(m1)) <= COMPLETE_TOL:
         raise PreconditionViolatedError(f"POVM pair is not complete within {COMPLETE_TOL}")
     if d is None:
         d = decompose(state, tol)

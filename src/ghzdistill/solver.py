@@ -25,7 +25,9 @@ to U_TOL by two sign probes, or the end of that range where a zero overlap
 puts the optimum; the probability is the objective at x*.  The six
 magnitudes follow from x* in closed form: Alice's pair from the ratio
 1/x*, Bob's and Claire's from the two-site ratio formula with Alice's
-filtering folded into the weights.  The grid search
+filtering folded into the weights.  The POVMs (``build_povms``) are 2x2
+closed forms too, built and checked (``PovmTriple``) in Python complex
+scalars rather than in NumPy calls on 2x2 arrays.  The grid search
 (``grid_search_probability``) is an independent slow route, kept as a
 test oracle of the fast path; the bisection that the Newton iteration
 replaced is ``bisect_max_objective`` in ``tests/oracles.py``, beside the
@@ -34,17 +36,19 @@ the closed-form coefficients.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ProductDecomposition, dual_basis, reconstruct
-from .errors import InvariantViolationError, PreconditionViolatedError
+from .decomposition import ProductDecomposition, reconstruct
+from .errors import InvariantViolationError, ParallelVectorsError, PreconditionViolatedError
 from .tensor import apply_local, check_int, fidelity_with, ghz_state, normalize
 from .tolerances import (
     COMPLETE_TOL, FAILURE_RANK_RTOL, GHZ_INFIDELITY_TOL, NEWTON_STEP_TOL, ORTHOGONAL_SITE_TOL,
-    PHASE_TOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_OVERLAP,
+    PARALLEL_TOL, PHASE_TOL, SOLUTION_TOL, U_TOL, X_HI, X_LO, ZERO_FAILURE_TOL, ZERO_NORM,
+    ZERO_OVERLAP,
 )
 
 
@@ -70,13 +74,27 @@ class OsbpSolution:
                 self.gamma1, self.gamma2)
 
 
-def _completeness_residual(m: np.ndarray, m_bar: np.ndarray):
-    """Largest entry modulus of M^dag M + M_bar^dag M_bar - I, one per pair
-    of a stack of 2x2 pairs (..., 2, 2); NaN for a NaN entry, which a check
-    written ``not residual <= tol`` rejects."""
-    comp = (np.swapaxes(m.conj(), -1, -2) @ m
-            + np.swapaxes(m_bar.conj(), -1, -2) @ m_bar)
-    return np.max(np.abs(comp - np.eye(2)), axis=(-2, -1))
+def _entries(m) -> list:
+    """The entries (m00, m01, m10, m11) of a 2x2 operator as Python complex."""
+    return np.asarray(m, dtype=np.complex128).reshape(4).tolist()
+
+
+def _gram(m: list, n: list, i: int, j: int) -> complex:
+    """Entry (i, j) of M^dag M + N^dag N for operators given by ``_entries``."""
+    return (m[i].conjugate() * m[j] + m[i + 2].conjugate() * m[j + 2]
+            + n[i].conjugate() * n[j] + n[i + 2].conjugate() * n[j + 2])
+
+
+def _completeness_residual(m: list, n: list) -> float:
+    """Largest entry modulus of M^dag M + N^dag N - I for operators given by
+    ``_entries``: inf where a product overflows, NaN where any entry of the
+    residual is NaN, so a check written ``not residual <= tol`` rejects both.
+    """
+    c01 = _gram(m, n, 0, 1)
+    parts = (abs(_gram(m, n, 0, 0).real - 1.0), abs(_gram(m, n, 1, 1).real - 1.0),
+             math.hypot(c01.real, c01.imag))
+    # max() keeps its first argument over a later NaN; the sum does not
+    return max(parts) if not math.isnan(sum(parts)) else math.nan
 
 
 _POVM_FIELDS = ("success_a", "failure_a", "success_b", "failure_b",
@@ -85,7 +103,16 @@ _POVM_FIELDS = ("success_a", "failure_a", "success_b", "failure_b",
 
 @dataclass(frozen=True)
 class PovmTriple:
-    """Two-outcome local POVMs {M, M_bar} for each of the three parties."""
+    """Two-outcome local POVMs {M, M_bar} for each of the three parties.
+
+    Each field is held as one owned, read-only (2, 2) array.  The checks run
+    on its entries as Python complex (``_entries``): every entry finite, then
+    the parties in the order A, B, C, each pair complete within COMPLETE_TOL
+    and its failure operator F of rank at most 1.  The rank is read in closed
+    form: with s1 >= s2 the singular values of F, s1 s2 = |det F| and
+    s1^2 = (|F|^2 + sqrt(|F|^4 - 4 |det F|^2))/2, |F| the Frobenius norm, so
+    s2 <= FAILURE_RANK_RTOL s1 is |det F| <= FAILURE_RANK_RTOL s1^2.
+    """
 
     success_a: np.ndarray
     failure_a: np.ndarray
@@ -95,27 +122,31 @@ class PovmTriple:
     failure_c: np.ndarray
 
     def __post_init__(self):
-        ops = [np.array(np.reshape(getattr(self, name), (2, 2)), dtype=np.complex128)
-               for name in _POVM_FIELDS]
-        # the three pairs are checked as one stack, in the order A, B, C and
-        # completeness before rank within a party
-        stack = np.stack(ops)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise InvariantViolationError(
-                f"{_POVM_FIELDS[finite.argmin()]} has a non-finite entry")
-        for name, m in zip(_POVM_FIELDS, ops):
+        entries = []
+        for name in _POVM_FIELDS:
+            m = np.asarray(getattr(self, name), dtype=np.complex128).reshape(2, 2).copy()
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        residuals = _completeness_residual(stack[0::2], stack[1::2])
-        singular_values = np.linalg.svd(stack[1::2], compute_uv=False)
-        for r, sv, party in zip(residuals, singular_values, "ABC"):
+            entries.append(m.ravel().tolist())
+        for name, e in zip(_POVM_FIELDS, entries):
+            if not all(map(cmath.isfinite, e)):
+                raise InvariantViolationError(f"{name} has a non-finite entry")
+        for party, succ, fail in zip("ABC", entries[0::2], entries[1::2]):
+            r = _completeness_residual(succ, fail)
             if not r <= COMPLETE_TOL:
                 raise InvariantViolationError(
                     f"POVM pair for {party} is not complete (residual {r:.3g})")
-            if sv[1] > FAILURE_RANK_RTOL * sv[0]:
+            # a complete pair has |F| <= sqrt(2), so nothing here overflows
+            f00, f01, f10, f11 = fail
+            frob2 = sum(z.real * z.real + z.imag * z.imag for z in fail)
+            det = f00 * f11 - f01 * f10
+            s1s2 = math.hypot(det.real, det.imag)
+            s1sq = 0.5 * (frob2 + math.sqrt(max(frob2 * frob2 - 4.0 * s1s2 * s1s2, 0.0)))
+            if not s1s2 <= FAILURE_RANK_RTOL * s1sq:
+                s1 = math.sqrt(s1sq)
                 raise InvariantViolationError(
-                    f"failure operator for {party} has rank 2 (singular values {sv})"
+                    f"failure operator for {party} has rank 2 "
+                    f"(singular values {np.array([s1, s1s2 / s1])})"
                 )
 
     def pairs(self):
@@ -288,24 +319,43 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
     bracket by the sign of the slope.  A step that leaves the bracket, a
     derivative that is not negative (NaN included), or a step longer than
     half the move before the last, as in Numerical Recipes' rtsafe, is
-    replaced by the midpoint.  A step shorter than NEWTON_STEP_TOL is
-    taken and certified: the sign is probed U_TOL/4 to either side, which
-    leaves a bracket of width U_TOL/2 when the probes straddle the sign
-    change, and the iteration goes on from the midpoint otherwise.  The
+    replaced by the midpoint.
+
+    A tiny overlap that is not zero puts x* about that overlap from an
+    end e of [0, L] (sa near u = 0, sb and sc near u = L), where phi goes
+    like -2 log|u - e|: Newton steps in u overshoot past e, and midpoints
+    would take ~40 halvings to get there.  So the second time a step
+    leaves the bracket through an end of [0, L] that is still a bracket
+    end, the iteration switches for good to w = log|u - e|.  It then takes
+    the Newton step in u where that stays inside the bracket (phi is
+    nearly linear in u within about the overlap of e), else the Newton
+    step in w, (phi/dphi)/(u - e); moves, and the rtsafe rule, are measured
+    in w, and the fallback is the geometric mean of the distances of the
+    bracket ends to e, the nearer one taken as at least U_TOL/4.  That
+    fallback also reaches in a few steps an e next to which phi is NaN
+    because a or b has underflowed (an overlap near 1e-200).
+
+    A Newton step of length s in u with s^2 below NEWTON_STEP_TOL^2 (in w:
+    s^2/|u - e|, as |phi''/phi'| ~ 1/|u - e| there sets its error) is taken
+    and certified: the sign is probed U_TOL/4 to either side, which leaves
+    a bracket of width U_TOL/2 when the probes straddle the sign change,
+    and the iteration goes on from the fallback point otherwise.  The
     objective is evaluated once, at x*.
     """
     w = _params(d)
     mu1, mu2, sa, sb, sc = w
     r = mu1 / mu2
     lo, hi = 0.0, max(math.log(r), 0.0)
-    x_lo = 1.0
+    top, x_lo = hi, 1.0
     if hi - lo > U_TOL:
         if sa == 0.0:
             hi = lo
         elif sb == 0.0 and sc == 0.0:
             lo, x_lo = hi, r
     u = 0.5 * (lo + hi)
-    step = step_before = hi - lo    # the last two moves of u
+    end = None                      # e, once the steps are in log|u - e|
+    overshot = False                # a step has left through an end of [0, L]
+    last = before = hi - lo         # the last two moves, in the iteration variable
     while hi - lo > U_TOL:
         x = math.exp(u)
         rising, phi, dphi = _slope_ratio(w, x)
@@ -314,8 +364,25 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
         else:
             hi = u
         newton = -phi / dphi if dphi < 0.0 else math.nan
-        if abs(newton) < NEWTON_STEP_TOL:
-            t = min(max(u + newton, lo), hi)
+        t = u + newton
+        if end is None and not lo < t < hi:
+            e = top if rising else 0.0
+            if (hi if rising else lo) == e:
+                if overshot:
+                    end, last, before = e, math.inf, math.inf
+                overshot = True
+        if end is None:
+            move, err = newton, newton * newton
+        else:
+            dist = u - end
+            if not lo < t < hi:
+                # capped where the step leaves the bracket anyway, so exp is finite
+                far = max(abs(lo - end), abs(hi - end))
+                t = end + dist * math.exp(min(newton / dist, math.log(far / abs(dist))))
+            move = math.log((t - end) / dist) if lo < t < hi else math.nan
+            err = newton * newton / abs(dist)
+        if err < NEWTON_STEP_TOL ** 2:
+            t = min(max(t, lo), hi)
             for p in (t - 0.25 * U_TOL, t + 0.25 * U_TOL):
                 if lo < p < hi:
                     xp = math.exp(p)
@@ -323,12 +390,18 @@ def _max_objective(d: ProductDecomposition) -> tuple[float, float]:
                         lo, x_lo = p, xp
                     else:
                         hi = p
+            t = math.nan
+        if lo < t < hi and abs(move) <= 0.5 * abs(before):
+            target = t
+        elif end is None:
             target = 0.5 * (lo + hi)
-        elif lo < u + newton < hi and abs(newton) <= 0.5 * abs(step_before):
-            target = u + newton
         else:
-            target = 0.5 * (lo + hi)
-        step_before, step = step, target - u
+            near, far = sorted((abs(lo - end), abs(hi - end)))
+            target = end + math.copysign(math.sqrt(max(near, 0.25 * U_TOL) * far), dist)
+        if end is None:
+            before, last = last, target - u
+        else:
+            before, last = last, math.log((target - end) / dist)
         u = target
     # rounding in the decomposition data can push the evaluated maximum a few
     # ulp above 1; the value is a probability, so cap it there
@@ -478,34 +551,68 @@ def _balanced_pair(rho, s: float):
     return rho * k2, k2
 
 
+def _local_povm(v1: np.ndarray, v2: np.ndarray, s: float, k1: float, k2: float,
+                phase: float) -> tuple[list, list]:
+    """Entries (as ``_entries``) of the success and failure operators of one
+    party with local pair (v1, v2), overlap s, coefficients (k1, k2) and
+    phase, in Python complex arithmetic.
+
+    With M = [v1 v2] and det M = x0 y1 - y0 x1, the rows of
+    M^-1 = adj(M)/det M are t1^dag and t2^dag, the dual basis (t1, t2) with
+    <t_i|v_j> = delta_ij; the success operator has the rows k1 t1^dag and
+    k2 e^{i phase} t2^dag, and the failure operator is the F = f f^dag/|f|
+    of ``build_povms``.  Raises ParallelVectorsError for a vector of norm
+    below ZERO_NORM or a pair with |cos| >= 1 - PARALLEL_TOL.
+    """
+    (x0, x1), (y0, y1) = v1.tolist(), v2.tolist()
+    n1 = math.sqrt(x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag)
+    n2 = math.sqrt(y0.real * y0.real + y0.imag * y0.imag + y1.real * y1.real + y1.imag * y1.imag)
+    if n1 < ZERO_NORM or n2 < ZERO_NORM:
+        raise ParallelVectorsError("dual basis of a zero vector")
+    o = x0.conjugate() * y0 + x1.conjugate() * y1
+    if not math.hypot(o.real, o.imag) / (n1 * n2) < 1.0 - PARALLEL_TOL:
+        raise ParallelVectorsError("vectors are numerically parallel")
+    det = x0 * y1 - y0 * x1
+    row1, row2 = (y1 / det, -y0 / det), (-x1 / det, x0 / det)
+    k2_phase = k2 * cmath.exp(1j * phase)
+    succ = [k1 * row1[0], k1 * row1[1], k2_phase * row2[0], k2_phase * row2[1]]
+    # the k are <= 1 only up to rounding; the roots multiply to s, so the
+    # smaller is s over the larger (its 1 - k^2 can round to 0, s cannot)
+    e1, e2 = max(1.0 - k1 * k1, 0.0), max(1.0 - k2 * k2, 0.0)
+    big = math.sqrt(max(e1, e2))
+    small = s / big if big > 0.0 else 0.0
+    c1, c2 = (big, small) if e1 >= e2 else (small, big)
+    f0 = (c1 * row1[0] + c2 * row2[0]).conjugate()
+    f1 = (c1 * row1[1] + c2 * row2[1]).conjugate()
+    f2 = f0.real * f0.real + f0.imag * f0.imag + f1.real * f1.real + f1.imag * f1.imag
+    if not f2 > ZERO_FAILURE_TOL:
+        return succ, [0j, 0j, 0j, 0j]
+    nf = math.sqrt(f2)
+    g0, g1 = f0.conjugate() / nf, f1.conjugate() / nf
+    return succ, [f0 * g0, f0 * g1, f1 * g0, f1 * g1]
+
+
 def build_povms(d: ProductDecomposition, sol: OsbpSolution) -> PovmTriple:
     """Explicit two-outcome POVMs realizing the optimal branch.
 
     Success operators S map the (generally non-orthogonal) local pairs
-    onto |0>, |1> through the dual basis (t1, t2).  That basis resolves
-    I = t1 t1^dag + t2 t2^dag + s (t1 t2^dag + t2 t1^dag), so on the curve
-    (1 - k1^2)(1 - k2^2) = s^2 the completion I - S^dag S is f f^dag with
-    f = sqrt(1 - k1^2) t1 + sqrt(1 - k2^2) t2, and the failure operator is
-    its square root F = f f^dag / |f|, rank 1 by construction; F = 0 when
-    |f|^2 <= ZERO_FAILURE_TOL (a zero-overlap site with the trivial pair).
-    The success triple is verified to give GHZ at probability p_opt.
+    onto |0>, |1> through the dual basis (t1, t2) (``_local_povm``).  That
+    basis resolves I = t1 t1^dag + t2 t2^dag + s (t1 t2^dag + t2 t1^dag),
+    so on the curve (1 - k1^2)(1 - k2^2) = s^2 the completion I - S^dag S
+    is f f^dag with f = sqrt(1 - k1^2) t1 + sqrt(1 - k2^2) t2, and the
+    failure operator is its square root F = f f^dag / |f|, rank 1 by
+    construction; F = 0 when |f|^2 <= ZERO_FAILURE_TOL (a zero-overlap site
+    with the trivial pair).  Per party this is a few 2x2 closed forms, so
+    it runs in Python complex scalars, where NumPy's per-call overhead
+    would cost more than the arithmetic.  The success triple is verified
+    to give GHZ at probability p_opt.
     """
     ops = []
     for v1, v2, s, k1, k2, phase in (
             (d.a1, d.a2, d.sa, sol.alpha1, sol.alpha2, sol.phase_a),
             (d.b1, d.b2, d.sb, sol.beta1, sol.beta2, sol.phase_b),
             (d.c1, d.c2, d.sc, sol.gamma1, sol.gamma2, sol.phase_c)):
-        t1, t2 = dual_basis(v1, v2)
-        succ = np.array([k1 * t1.conj(), k2 * np.exp(1j * phase) * t2.conj()])
-        # the k are <= 1 only up to rounding; the roots multiply to s, so the
-        # smaller is s over the larger (its 1 - k^2 can round to 0, s cannot)
-        e1, e2 = max(1.0 - k1 * k1, 0.0), max(1.0 - k2 * k2, 0.0)
-        big = np.sqrt(max(e1, e2))
-        small = s / big if big > 0.0 else 0.0
-        f = big * t1 + small * t2 if e1 >= e2 else small * t1 + big * t2
-        f2 = float(np.vdot(f, f).real)
-        fail = np.outer(f, f.conj()) / np.sqrt(f2) if f2 > ZERO_FAILURE_TOL else np.zeros((2, 2))
-        ops += [succ, fail]
+        ops += _local_povm(v1, v2, float(s), float(k1), float(k2), float(phase))
     triple = PovmTriple(*ops)
 
     raw, p = apply_local(reconstruct(d), triple.success_a, triple.success_b,

@@ -41,10 +41,11 @@ Vectors and states
 
 NORM_ATOL = 1e-12  (tensor)
     a State3Q has norm^2 = 1
-ZERO_NORM = 1e-12  (tensor, decomposition)
+ZERO_NORM = 1e-12  (tensor, solver)
     a vector has zero norm
-PARALLEL_TOL = 1e-10  (decomposition)
-    two vectors are parallel when |cos| >= 1 - PARALLEL_TOL
+PARALLEL_TOL = 1e-10  (solver)
+    a local pair is parallel, and has no dual basis, when
+    |cos| >= 1 - PARALLEL_TOL
 NORM_WARN_TOL = 1e-6  (cli)
     an input file whose norm is off by more draws a warning
 
@@ -56,8 +57,9 @@ X_HI = 1e6  (solver)
 U_TOL = 1e-12  (solver)
     width in u = log x to which the search certifies the optimum x*
 NEWTON_STEP_TOL = 1e-8  (solver)
-    a Newton step in u shorter than this is certified by two sign probes
-    U_TOL/4 to either side
+    a Newton step of length s in u with s^2 below NEWTON_STEP_TOL^2
+    (s^2/|u - end| once the steps go in log|u - end|) is certified by two
+    sign probes U_TOL/4 to either side
 ORTHOGONAL_SITE_TOL = 1e-10  (solver, monotone)
     a site counts as orthogonal for the sa = 0 families: the closed
     forms and the diagonal family
@@ -67,9 +69,11 @@ SOLUTION_TOL = 1e-8  (solver)
 PHASE_TOL = 1e-10  (solver)
     the operator phases cancel the decomposition phase
 COMPLETE_TOL = 1e-10  (solver, monotone)
-    a POVM pair is complete
+    a POVM pair is complete: no entry of M^dag M + M_bar^dag M_bar - I
+    exceeds it in modulus
 FAILURE_RANK_RTOL = 1e-8  (solver)
-    a failure operator has rank 1 (second singular value, relative)
+    a failure operator has rank 1 (second singular value, relative, read
+    from |det F| and |F|)
 ZERO_FAILURE_TOL = 1e-12  (solver)
     |f|^2 at or below it makes the failure operator 0
 GHZ_INFIDELITY_TOL = 1e-10  (solver)
@@ -140,8 +144,8 @@ PHASE_COMPONENT_CUT = 1e-6
 NORM_ATOL = 1e-12
 # a vector this short is rounding noise and has no direction
 ZERO_NORM = 1e-12
-# |cos| >= 1 - 1e-10 is an angle below ~1.4e-5, where the dual basis
-# vectors grow beyond ~7e4
+# |cos| >= 1 - 1e-10 is an angle below ~1.4e-5, where |det [v1 v2]| falls
+# below ~1.4e-5 and the dual basis vectors, adj/det, grow beyond ~7e4
 PARALLEL_TOL = 1e-10
 # amplitudes typed with six or seven digits stay silent
 NORM_WARN_TOL = 1e-6
@@ -154,7 +158,8 @@ X_HI = 1e6
 U_TOL = 1e-12
 # a Newton step of length s leaves an error of about s^2 |phi''/phi'|/2,
 # here ~1e-16 |phi''/phi'|, far inside U_TOL/4; at 1e-6 the probes start
-# to miss the sign change, and below 1e-7 steps gain nothing
+# to miss the sign change, and below 1e-7 steps gain nothing.  Near an
+# end, |phi''/phi'| ~ 1/|u - end|, hence the division there
 NEWTON_STEP_TOL = 1e-8
 # decompose reports such overlaps as exactly 0; hand-built ones may carry
 # more rounding
@@ -164,10 +169,13 @@ ORTHOGONAL_SITE_TOL = 1e-10
 SOLUTION_TOL = 1e-8
 # the phases are assigned exactly (-phi, 0, 0); only the mod 2 pi rounds
 PHASE_TOL = 1e-10
-# the completion is exact up to rounding amplified by the dual basis
+# the completion is exact up to rounding amplified by the dual basis; the
+# residual is taken entrywise in Python floats, so an overflowing product
+# is inf and a NaN entry NaN, and neither passes
 COMPLETE_TOL = 1e-10
 # F = f f^dag / |f| is rank 1 by construction; its second singular value
-# is rounding
+# is rounding.  |det F| = s1 s2 is rounding of order 1e-16 s1^2 then, so
+# the closed-form test decides as an SVD does to a relative 1e-8 of the cut
 FAILURE_RANK_RTOL = 1e-8
 # |f|^2 this small happens only at a zero-overlap site with the trivial
 # pair, where f is rounding

@@ -27,12 +27,17 @@ against.  No code in ``ghzdistill`` calls them.
 - ``reference_lu_fidelity``: the LU fidelity by sweeps of those two, with
   the starts, stopping rule and tie rule of
   ``ghzdistill.fidelity.optimal_lu_fidelity``.
+- ``dual_basis``: the basis dual to a local pair by LAPACK inverse, and
+  ``rational_dual_basis``, the same basis from the exact rational inverse
+  of the binary inputs, the oracles of the adjugate closed form of
+  ``ghzdistill.solver._local_povm``.
 - ``reduced_density``: the reduced density matrix of any proper subset of
   the parties by a partial trace, the oracle of the stacked Grams of
   ``ghzdistill.tensor.local_spectra`` and of the local ranks of
   ``ghzdistill.classification_evidence``.
 """
 import decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,8 +47,8 @@ from ghzdistill.fidelity import ghz_fidelity, su2
 from ghzdistill.monotone import BranchOutcome
 from ghzdistill.simulate import _effective_threshold
 from ghzdistill.solver import (
-    _balanced_pair, _completeness_residual, _objective, _params, _smaller_balance_root,
-    _terms, optimal_probability_value,
+    _balanced_pair, _completeness_residual, _entries, _objective, _params,
+    _smaller_balance_root, _terms, optimal_probability_value,
 )
 from ghzdistill.tensor import State3Q, _ops_for, apply_local, normalize
 from ghzdistill.tolerances import COMPLETE_TOL as _COMPLETE_TOL
@@ -264,7 +269,7 @@ def sample_branch(state: State3Q, povm_pair, party: str, rng) -> tuple[int, Stat
     probability of the sampled outcome).
     """
     m0, m1 = povm_pair
-    if not _completeness_residual(m0, m1) <= _COMPLETE_TOL:
+    if not _completeness_residual(_entries(m0), _entries(m1)) <= _COMPLETE_TOL:
         raise ValueError(f"POVM pair is not complete within {_COMPLETE_TOL}")
     raw0, p0 = apply_local(state, *_ops_for(party, m0))
     outcome = 0 if rng.random() < _effective_threshold(p0) else 1
@@ -346,3 +351,34 @@ def reduced_density(state: State3Q, parties: str) -> np.ndarray:
     rho = np.tensordot(psi, psi.conj(), axes=(out, out))
     dim = 2 ** len(keep)
     return rho.reshape(dim, dim)
+
+
+# --------------------------------------------------------------- dual basis
+
+def dual_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biorthogonal pair (t1, t2) with <t_i|v_j> = delta_ij, the columns of
+    the conjugate transpose of inv([v1 v2]); the inputs must be linearly
+    independent, and the outputs are in general not normalized."""
+    m = np.column_stack([np.asarray(v1, dtype=np.complex128).reshape(2),
+                         np.asarray(v2, dtype=np.complex128).reshape(2)])
+    dual = np.linalg.inv(m).conj().T
+    return dual[:, 0], dual[:, 1]
+
+
+def rational_dual_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dual_basis`` from the exact inverse of [v1 v2] in rational
+    arithmetic on the binary values of the inputs, rounded once at the end."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    (x0, x1), (y0, y1) = ([(Fraction(z.real), Fraction(z.imag)) for z in np.ravel(v).tolist()]
+                          for v in (np.asarray(v1, dtype=np.complex128),
+                                    np.asarray(v2, dtype=np.complex128)))
+    p, q = mul(x0, y1), mul(y0, x1)
+    det = (p[0] - q[0], p[1] - q[1])
+    n = det[0] * det[0] + det[1] * det[1]
+    inv = (det[0] / n, -det[1] / n)
+    # rows of adj([v1 v2]) / det are t1^dag and t2^dag
+    rows = [mul(y1, inv), mul((-y0[0], -y0[1]), inv), mul((-x1[0], -x1[1]), inv), mul(x0, inv)]
+    t = np.array([complex(float(re), -float(im)) for re, im in rows])
+    return t[:2], t[2:]

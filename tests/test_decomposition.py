@@ -10,7 +10,6 @@ from ghzdistill import (
     classification_evidence,
     classify,
     decompose,
-    dual_basis,
     ghz_state,
     normalize,
     optimal_probability,
@@ -18,11 +17,7 @@ from ghzdistill import (
     w_state,
 )
 from ghzdistill import decomposition
-from ghzdistill.errors import (
-    InvariantViolationError,
-    NotGHZClassError,
-    ParallelVectorsError,
-)
+from ghzdistill.errors import InvariantViolationError, NotGHZClassError
 from ghzdistill.sampling import apply_local_unitaries, haar_state, random_local_unitaries
 from ghzdistill.tensor import fidelity_with, spectral_ranks
 from helpers import make_decomposition, psi_b, random_ghz_state
@@ -284,38 +279,3 @@ def test_decompose_deterministic():
     d1, d2 = decompose(st), decompose(st)
     assert d1.mu1 == d2.mu1 and d1.phi == d2.phi
     assert np.array_equal(d1.a1, d2.a1) and np.array_equal(d1.c2, d2.c2)
-
-
-# -------------------------------------------------------------- dual_basis
-
-def test_dual_basis_orthonormal_input():
-    t1, t2 = dual_basis(np.array([1, 0]), np.array([0, 1]))
-    assert_allclose(t1, [1, 0], atol=1e-14)
-    assert_allclose(t2, [0, 1], atol=1e-14)
-
-
-def test_dual_basis_skew_input():
-    v1 = np.array([1.0, 0.0])
-    v2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    t1, t2 = dual_basis(v1, v2)
-    assert_allclose(t1, [1.0, -1.0], atol=1e-14)
-    assert_allclose(t2, [0.0, np.sqrt(2.0)], atol=1e-14)
-
-
-def test_dual_basis_parallel_error():
-    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    with pytest.raises(ParallelVectorsError):
-        dual_basis(v, v)
-
-
-def test_dual_basis_biorthogonality_random():
-    rng = np.random.default_rng(6)
-    from ghzdistill.sampling import haar_local_vector
-    for _ in range(50):
-        v1, v2 = haar_local_vector(rng), haar_local_vector(rng)
-        if abs(np.vdot(v1, v2)) > 0.99:
-            continue
-        t1, t2 = dual_basis(v1, v2)
-        gram = np.array([[np.vdot(t1, v1), np.vdot(t1, v2)],
-                         [np.vdot(t2, v1), np.vdot(t2, v2)]])
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-12

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from ghzdistill import (
 from ghzdistill import decomposition, monotone
 from ghzdistill.errors import NotGHZClassError, PreconditionViolatedError
 from ghzdistill.monotone import _diagonal_pair
+from ghzdistill.solver import _completeness_residual, _entries
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from helpers import make_decomposition, psi_b, random_ghz_state
 from oracles import branch_by_decomposing
@@ -72,6 +76,29 @@ def test_audit_rejects_an_incomplete_pair():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(PreconditionViolatedError):
         audit_povm(ghz_state(), (p0, p0), "A")
+
+
+@pytest.mark.parametrize("slot", range(8))
+def test_audit_rejects_a_nan_in_any_entry_of_the_pair(slot):
+    # a NaN in m0[0, 1] reaches only the (1, 1) and (0, 1) entries of the
+    # residual, which max() would drop after a finite (0, 0) entry
+    pair = np.stack([_EYE, _EYE]) / np.sqrt(2.0)
+    pair.reshape(8)[slot] = np.nan
+    m0, m1 = pair
+    assert math.isnan(_completeness_residual(_entries(m0), _entries(m1)))
+    with pytest.raises(PreconditionViolatedError):
+        audit_povm(ghz_state(), (m0, m1), "A")
+
+
+def test_audit_rejects_a_finite_pair_whose_products_overflow():
+    # the (0, 1) entry of M^dag M + N^dag N is inf - inf, the diagonal inf
+    m0 = np.array([[1e200, 1e200], [0.0, 0.0]], dtype=complex)
+    m1 = np.array([[1e200, -1e200], [0.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_completeness_residual(_entries(m0), _entries(m1)))
+        with pytest.raises(PreconditionViolatedError):
+            audit_povm(ghz_state(), (m0, m1), "A")
 
 
 def test_audit_decomposes_branches_at_tol():

@@ -8,17 +8,21 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzdistill import (
+    PovmTriple,
+    ProductDecomposition,
     apply_local,
+    audit_povm,
     basis_state,
     build_povms,
     decompose,
-    dual_basis,
     ghz_state,
     normalize,
     optimal_probability,
@@ -26,12 +30,14 @@ from ghzdistill import (
     w_state,
 )
 from ghzdistill.cli import main
-from ghzdistill.errors import GhzDistillError
+from ghzdistill.errors import (
+    GhzDistillError, InvariantViolationError, PreconditionViolatedError,
+)
 from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
 from ghzdistill.solver import U_TOL, _max_objective
 from ghzdistill.tensor import fidelity_with
 from helpers import make_decomposition
-from oracles import bisect_max_objective, reference_sign_change
+from oracles import bisect_max_objective, dual_basis, reference_sign_change
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=75)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -171,3 +177,27 @@ def test_cli_ends_every_file_in_a_result_or_one_error_line(content, command):
         assert out.getvalue() == ""
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "Traceback" not in err.getvalue()
+
+
+_E0, _E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+_ORTHOGONAL = dict(phi=0.0, a1=_E0, a2=_E1, b1=_E0, b2=_E1, c1=_E0, c2=_E1,
+                   sa=0.0, sb=0.0, sc=0.0)
+_EYE, _ZERO = np.eye(2), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ProductDecomposition(mu1=1e200, mu2=1.0, **_ORTHOGONAL), InvariantViolationError),
+    (lambda: ProductDecomposition(**{**_ORTHOGONAL, "a1": np.array([1e200, 0.0])},
+                                  mu1=np.sqrt(0.5), mu2=np.sqrt(0.5)),
+     InvariantViolationError),
+    (lambda: PovmTriple(1e200 * _EYE, _ZERO, _EYE, _ZERO, _EYE, _ZERO), InvariantViolationError),
+    (lambda: audit_povm(ghz_state(), (1e200 * _EYE, _ZERO), "A"), PreconditionViolatedError),
+], ids=["decomposition weight", "decomposition vector", "povm triple", "audit pair"])
+def test_finite_input_whose_squares_overflow_ends_in_a_typed_error_without_a_warning(
+        build, error):
+    # the checks run on Python scalars, where a product that overflows is inf
+    # (a ** 2 would raise OverflowError) and NumPy's overflow warning never runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build()

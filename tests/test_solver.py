@@ -19,21 +19,27 @@ from ghzdistill import (
     normalize,
     optimal_probability,
     optimal_probability_value,
+    random_povm_pair,
     reconstruct,
     w_state,
 )
 from ghzdistill.errors import (
-    GhzDistillError, InvariantViolationError, PreconditionViolatedError,
+    GhzDistillError, InvariantViolationError, ParallelVectorsError, PreconditionViolatedError,
 )
 from ghzdistill import solver
-from ghzdistill.sampling import apply_local_unitaries, random_local_unitaries
+from ghzdistill.monotone import complete_pair
+from ghzdistill.sampling import (
+    apply_local_unitaries, haar_local_vector, random_local_unitaries, vector_with_overlap,
+)
 from ghzdistill.solver import (
-    U_TOL, X_HI, X_LO, _max_objective, _objective, _params, _slope_ratio,
+    U_TOL, X_HI, X_LO, _local_povm, _max_objective, _objective, _params, _slope_ratio,
 )
 from ghzdistill.tensor import fidelity_with
+from ghzdistill.tolerances import FAILURE_RANK_RTOL, PARALLEL_TOL
 from helpers import make_decomposition, psi_b, random_ghz_state
 from oracles import (
-    bisect_max_objective, reduced_density, reference_sign_change, solve_coefficients,
+    bisect_max_objective, dual_basis, rational_dual_basis, reduced_density,
+    reference_sign_change, solve_coefficients,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -457,6 +463,35 @@ def test_newton_search_takes_few_slope_evaluations(monkeypatch):
     assert np.mean(counts["haar"]) <= 6
 
 
+TAIL_FAMILIES = {"sa=1e-9": {"sa": 1e-9}, "sb=1e-9, sc=1e-10": {"sb": 1e-9, "sc": 1e-10},
+                 "sa=1e-200": {"sa": 1e-200}, "sb=sc=1e-200": {"sb": 1e-200, "sc": 1e-200}}
+
+
+def test_newton_search_reaches_an_end_next_to_a_tiny_overlap_in_few_evaluations(monkeypatch):
+    # a tiny overlap that is not zero puts x* about that overlap from an end;
+    # halving the bracket took ~40 evaluations there (38-46 on these
+    # families), steps in the log of the distance to the end take a few.
+    # On the default family the search makes no more evaluations than it
+    # did before those steps: 5.25 on average and 7 at most on these draws
+    calls = []
+    monkeypatch.setattr(solver, "_slope_ratio",
+                        lambda w, x: calls.append(x) or _slope_ratio(w, x))
+    rng = np.random.default_rng(49)
+    counts = {}
+    for name, kwargs in {**TAIL_FAMILIES, "default": {}}.items():
+        for _ in range(40):
+            d = make_decomposition(rng, **kwargs)
+            calls.clear()
+            u = math.log(_max_objective(d)[1])
+            counts.setdefault(name, []).append(len(calls))
+            u_ref = reference_sign_change(d)
+            assert u_ref - U_TOL <= u <= u_ref + 1e-15, name
+    for name in TAIL_FAMILIES:
+        assert max(counts[name]) <= 12, (name, counts[name])
+    assert max(counts["default"]) <= 7
+    assert np.mean(counts["default"]) <= 5.25
+
+
 def test_slope_ratio_derivative_matches_a_central_difference():
     h = 1e-5
     for name, ds in {**_families(np.random.default_rng(45), 4),
@@ -542,6 +577,139 @@ def test_povm_triple_checks_in_order():
     for ops, message in cases:
         with pytest.raises(InvariantViolationError, match=message):
             PovmTriple(*ops)
+
+
+def _closed_form_dual(v1, v2):
+    """(t1, t2) of the closed form: the success rows at k1 = k2 = 1, phase 0."""
+    succ, _ = _local_povm(np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex),
+                          0.0, 1.0, 1.0, 0.0)
+    return np.conj(succ[:2]), np.conj(succ[2:])
+
+
+def test_dual_basis_orthonormal_input():
+    t1, t2 = _closed_form_dual([1, 0], [0, 1])
+    assert_allclose(t1, [1, 0], atol=1e-14)
+    assert_allclose(t2, [0, 1], atol=1e-14)
+
+
+def test_dual_basis_skew_input():
+    t1, t2 = _closed_form_dual([1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+    assert_allclose(t1, [1.0, -1.0], atol=1e-14)
+    assert_allclose(t2, [0.0, np.sqrt(2.0)], atol=1e-14)
+
+
+def test_dual_basis_parallel_error():
+    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    with pytest.raises(ParallelVectorsError, match="parallel"):
+        _closed_form_dual(v, v)
+    with pytest.raises(ParallelVectorsError, match="zero vector"):
+        _closed_form_dual(v, [0.0, 1e-13])
+
+
+def test_dual_basis_biorthogonality_random():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        v1, v2 = haar_local_vector(rng), haar_local_vector(rng)
+        if abs(np.vdot(v1, v2)) > 0.99:
+            continue
+        t1, t2 = _closed_form_dual(v1, v2)
+        gram = np.array([[np.vdot(t1, v1), np.vdot(t1, v2)],
+                         [np.vdot(t2, v1), np.vdot(t2, v2)]])
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+
+
+def _lapack_success(v1, v2, k1, k2, phase):
+    t1, t2 = dual_basis(v1, v2)
+    return np.array([k1 * t1.conj(), k2 * np.exp(1j * phase) * t2.conj()])
+
+
+def _abs_det(v1, v2):
+    return abs(v1[0] * v2[1] - v2[0] * v1[1])
+
+
+def test_success_operators_match_the_lapack_dual_basis():
+    fams = {**_families(np.random.default_rng(50), 6),
+            **_ratio_families(np.random.default_rng(51), 3)}
+    for name, ds in fams.items():
+        for d in ds:
+            sol = optimal_probability(d)
+            t = build_povms(d, sol)
+            for (succ, _, _), (v1, v2), (k1, k2), phase in zip(
+                    t.pairs(), ((d.a1, d.a2), (d.b1, d.b2), (d.c1, d.c2)),
+                    ((sol.alpha1, sol.alpha2), (sol.beta1, sol.beta2),
+                     (sol.gamma1, sol.gamma2)),
+                    (sol.phase_a, sol.phase_b, sol.phase_c)):
+                diff = np.max(np.abs(succ - _lapack_success(v1, v2, k1, k2, phase)))
+                assert diff <= 1e-13 / _abs_det(v1, v2), name
+
+
+def test_near_parallel_pairs_match_the_dual_basis_oracles_up_to_the_cut():
+    # entries are of size 1/|det| and both routes round det at ~1e-16, so
+    # they part by ~1e-16/|det|^2 near the cut, 5e-12/|det| at |det| = 2e-5;
+    # against the exact inverse of the same inputs the closed form is at
+    # least as close as LAPACK
+    rng = np.random.default_rng(52)
+    for gap in (2.0, 1e2, 1e4, 1e6, 1e9):
+        cos = 1.0 - gap * PARALLEL_TOL
+        for _ in range(20):
+            v1 = haar_local_vector(rng)
+            v2 = vector_with_overlap(rng, v1, cos) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            k1, k2 = rng.uniform(0.1, 1.0, 2)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            succ = np.reshape(_local_povm(v1, v2, cos, k1, k2, phase)[0], (2, 2))
+            lapack = _lapack_success(v1, v2, k1, k2, phase)
+            t1, t2 = rational_dual_basis(v1, v2)
+            exact = np.array([k1 * t1.conj(), k2 * np.exp(1j * phase) * t2.conj()])
+            det2 = _abs_det(v1, v2) ** 2
+            assert np.max(np.abs(succ - lapack)) <= 1e-15 / det2, gap
+            assert np.max(np.abs(succ - exact)) <= 1e-15 / det2, gap
+            if gap >= 1e6:
+                assert np.max(np.abs(succ - lapack)) <= 1e-13 / _abs_det(v1, v2), gap
+    # past the cut |cos| >= 1 - PARALLEL_TOL the pair has no dual basis
+    for _ in range(20):
+        v1 = haar_local_vector(rng)
+        v2 = vector_with_overlap(rng, v1, 1.0 - 0.5 * PARALLEL_TOL)
+        with pytest.raises(ParallelVectorsError, match="parallel"):
+            _local_povm(v1, v2, 1.0, 1.0, 1.0, 0.0)
+
+
+def test_completeness_residual_matches_the_matrix_product():
+    # the entrywise scalar residual against M^dag M + N^dag N - I by matmul
+    rng = np.random.default_rng(54)
+    for k in range(200):
+        m, n = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        if k % 2:
+            m, n = random_povm_pair(k)
+        ref = np.max(np.abs(m.conj().T @ m + n.conj().T @ n - np.eye(2)))
+        got = solver._completeness_residual(solver._entries(m), solver._entries(n))
+        assert got == pytest.approx(ref, rel=1e-14, abs=1e-15)
+
+
+def test_failure_rank_decision_matches_the_svd():
+    # |det F| <= FAILURE_RANK_RTOL s1^2 with s1 in closed form decides as
+    # the SVD's s2 <= FAILURE_RANK_RTOL s1, also a relative 1e-6 from the cut
+    rng = np.random.default_rng(53)
+    eye, z = np.eye(2), np.zeros((2, 2))
+    failures = [eye / np.sqrt(2.0), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), z]
+    for ratio in (FAILURE_RANK_RTOL * (1.0 - 1e-6), FAILURE_RANK_RTOL * (1.0 + 1e-6),
+                  0.0, 1e-12, 1e-4, 0.5, 1.0):
+        for _ in range(20):
+            u, v, _ = random_local_unitaries(rng)
+            s1 = rng.uniform(0.1, 1.0)
+            failures.append(u @ np.diag([s1, ratio * s1]) @ v)
+    decided = []
+    for f in failures:
+        f = np.asarray(f, dtype=complex)
+        sv = np.linalg.svd(f, compute_uv=False)
+        try:
+            PovmTriple(complete_pair(f)[1], f, eye, z, eye, z)
+            rank2 = False
+        except InvariantViolationError as e:
+            assert "failure operator for A has rank 2 (singular values" in str(e)
+            rank2 = True
+        assert rank2 == (sv[1] > FAILURE_RANK_RTOL * sv[0]), sv
+        decided.append(rank2)
+    assert sum(decided) == 1 + 20 * 4
 
 
 def test_povms_completeness_and_rank1_random():
